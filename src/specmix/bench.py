@@ -9,10 +9,14 @@ Timed workloads per sequence length, on identical seeded inputs:
 
 The mixing workloads time just the transform because that is all the mixing
 sub-layer executes; the attention baseline includes its projections because
-attention cannot run without them. Reported numbers are 1 / median wall-clock
-over `repeats` iterations after `warmup` discarded iterations, single-threaded
-(BLAS pools are clamped when threadpoolctl is available). Every iteration's
-output feeds a checksum that is verified finite, so no work can be skipped.
+attention cannot run without them. Reported numbers are 1 / the median of
+`repeats` samples of seconds per call, after `warmup` discarded calls,
+single-threaded (BLAS pools are clamped when threadpoolctl is available). A
+sample is the mean over as many calls as add up to MIN_SAMPLE_S of timed
+work. The three workloads of one length take one sample each per round, their
+calls interleaved one by one, so a drift in host speed falls on all of them
+alike. Every call's output feeds a checksum that is verified finite, so no
+work can be skipped.
 """
 
 from __future__ import annotations
@@ -31,7 +35,11 @@ from .rng import SplitRng
 from .spectral import MixingKind, mix2d
 
 ATTENTION = "attention"
+MIXING_KINDS = (MixingKind.FOURIER_REAL, MixingKind.HARTLEY)
 INIT_SCALE = 0.02
+# One call of a fast transform lasts tens of milliseconds, short enough for
+# host speed drift to swamp the few-percent gap between two mixing kinds.
+MIN_SAMPLE_S = 0.2
 
 
 @dataclass(frozen=True)
@@ -60,20 +68,33 @@ def _attention_params(d_model: int, rng: SplitRng) -> AttentionParams:
     return AttentionParams(**params)
 
 
-def _time_workload(fn, repeats: int, warmup: int) -> float:
-    """Median seconds per iteration; consumes a checksum so work is observable."""
+def _time_workloads(fns, repeats: int, warmup: int) -> list:
+    """Median over `repeats` samples of each fn's seconds per call.
+
+    Each round calls the fns in turn, skipping those whose sample already
+    holds MIN_SAMPLE_S of timed work, until all of them do. Warmup calls are
+    never timed. Every call's output feeds the checksum, so work is observable.
+    """
     checksum = 0.0
-    for _ in range(warmup):
-        checksum += float(np.sum(fn()))
-    times = []
+    for fn in fns:
+        for _ in range(warmup):
+            checksum += float(np.sum(fn()))
+    samples = [[] for _ in fns]
     for _ in range(repeats):
-        start = time.perf_counter()
-        out = fn()
-        times.append(time.perf_counter() - start)
-        checksum += float(np.sum(out))
+        elapsed, calls = [0.0] * len(fns), [0] * len(fns)
+        while min(elapsed) < MIN_SAMPLE_S:
+            for i, fn in enumerate(fns):
+                if elapsed[i] < MIN_SAMPLE_S:
+                    start = time.perf_counter()
+                    out = fn()
+                    elapsed[i] += time.perf_counter() - start
+                    calls[i] += 1
+                    checksum += float(np.sum(out))
+        for times, e, c in zip(samples, elapsed, calls):
+            times.append(e / c)
     if not np.isfinite(checksum):
         raise FloatingPointError(f"benchmark produced a non-finite checksum: {checksum}")
-    return float(np.median(times))
+    return [float(np.median(times)) for times in samples]
 
 
 def bench_mixing_vs_attention(
@@ -105,11 +126,11 @@ def bench_mixing_vs_attention(
             def run_attention():
                 return multi_head_attention(node, node, node, params, cfg, tape=None).value
 
-            base_median = _time_workload(run_attention, repeats, warmup)
+            mixers = [lambda kind=kind: mix2d(x, kind) for kind in MIXING_KINDS]
+            base_median, *medians = _time_workloads([run_attention, *mixers], repeats, warmup)
             base_ips = 1.0 / base_median
             results.append(BenchResult(ATTENTION, seq_len, d_model, base_ips, 1.0))
-            for kind in (MixingKind.FOURIER_REAL, MixingKind.HARTLEY):
-                median = _time_workload(lambda: mix2d(x, kind), repeats, warmup)
+            for kind, median in zip(MIXING_KINDS, medians):
                 ips = 1.0 / median
                 results.append(
                     BenchResult(kind.label, seq_len, d_model, ips, ips / base_ips)

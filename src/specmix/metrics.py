@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-
-IGNORE = -1
+from .nn import IGNORE_LABEL
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def token_accuracy(pred, gold) -> float:
     gold = np.asarray(gold, dtype=np.int64)
     if pred.shape != gold.shape:
         raise ShapeError(f"token_accuracy shapes differ: {pred.shape} vs {gold.shape}")
-    active = gold != IGNORE
+    active = gold != IGNORE_LABEL
     if not active.any():
         return 1.0
     return float((pred[active] == gold[active]).mean())

@@ -162,6 +162,12 @@ def _softmax_rows(v: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
+def log_softmax_rows(v: np.ndarray) -> np.ndarray:
+    """Log-softmax along the last axis by log-sum-exp; finite wherever v is."""
+    shifted = v - v.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+
+
 def softmax(x: Node, tape: Tape | None) -> Node:
     """Max-subtracted softmax along the last axis."""
     y = _softmax_rows(x.value)
@@ -230,23 +236,21 @@ def masked_cross_entropy(logits: Node, labels, tape: Tape | None) -> Node:
         raise ShapeError(f"labels must be -1 or in [0, {vocab})")
     active = labels != IGNORE_LABEL
     n_active = int(active.sum())
-    probs = _softmax_rows(v)
     if n_active == 0:
         out = Node(0.0)
         return out
-    flat_probs = probs.reshape(-1, vocab)
+    flat_logp = log_softmax_rows(v).reshape(-1, vocab)
     flat_labels = labels.reshape(-1)
     flat_active = active.reshape(-1)
     rows = np.nonzero(flat_active)[0]
-    picked = flat_probs[rows, flat_labels[rows]]
-    loss = float(-np.log(picked).sum() / n_active)
+    loss = float(-flat_logp[rows, flat_labels[rows]].sum() / n_active)
     out = Node(loss)
     if tape is not None:
         def backward():
             g = out.grad
             if g is None:
                 return
-            d = flat_probs.copy()
+            d = np.exp(flat_logp)
             d[rows, flat_labels[rows]] -= 1.0
             d[~flat_active] = 0.0
             logits.add_grad((float(g) / n_active) * d.reshape(v.shape))

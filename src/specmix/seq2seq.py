@@ -233,11 +233,6 @@ def seq2seq_loss(state: Seq2SeqState, source_ids, target_ids, tape: Tape | None 
     return nn.masked_cross_entropy(logits, labels, tape)
 
 
-def _log_softmax(row: np.ndarray) -> np.ndarray:
-    shifted = row - row.max()
-    return shifted - np.log(np.exp(shifted).sum())
-
-
 def _banned_tokens(tokens, n: int) -> set:
     """Token ids that would complete an n-gram already present in tokens."""
     if n <= 0 or len(tokens) < n - 1:
@@ -269,7 +264,7 @@ def generate(state: Seq2SeqState, source_ids, gen: GenerationConfig) -> list:
         candidates = []
         for hyp_idx, (tokens, total) in enumerate(live):
             logits = decoder_forward(state.decoder_cfg, state.decoder, tokens, hidden)
-            logp = _log_softmax(logits.value[-1])
+            logp = nn.log_softmax_rows(logits.value[-1])
             for tok in _banned_tokens(tokens, gen.no_repeat_ngram):
                 logp[tok] = -np.inf
             # descending logp, exact ties resolved toward the lower token id

@@ -7,19 +7,17 @@ All transforms use the unnormalized forward convention
 
 so the Hartley transform is an involution up to a factor N, and any global
 scale difference with other conventions is absorbed downstream by layer
-normalization. ``dft_naive`` and ``dht_naive`` evaluate the kernels directly
-in O(N^2) and serve as oracles for the fast paths. The fast paths use an
-iterative radix-2 decimation-in-time FFT when N is a power of two and fall
-back to the direct kernel otherwise; model dimensions that matter for speed
-(sequence lengths) are powers of two.
+normalization. The transforms are computed with ``scipy.fft`` in
+O(N log N) for every length. ``dft_naive`` and ``dht_naive`` evaluate the
+kernels directly in O(N^2) and serve as oracles for them.
 
-The 2D mixing used by the encoders applies one 1D transform along the hidden
-axis, then one along the sequence axis, and propagates a real-valued
-projection of the complex result. Five projections are supported, selected by
-:class:`MixingKind`. All of them map real input to real output and carry no
-parameters. Hartley mixing is Re - Im of the 2D DFT, which equals the true 2D
-cas-kernel transform (cas(a+b) cross terms included); it is deliberately not
-the separable product of two 1D Hartley transforms, which is a different map.
+The 2D mixing used by the encoders takes the 2D DFT over the sequence and
+hidden axes and propagates a real-valued projection of the complex result.
+Five projections are supported, selected by :class:`MixingKind`. All of them
+map real input to real output and carry no parameters. Hartley mixing is
+Re - Im of the 2D DFT, which equals the true 2D cas-kernel transform (cas(a+b)
+cross terms included); it is deliberately not the separable product of two 1D
+Hartley transforms, which is a different map.
 
 Everything here is a pure function of its inputs; float64 throughout.
 """
@@ -27,9 +25,9 @@ Everything here is a pure function of its inputs; float64 throughout.
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 
 import numpy as np
+import scipy.fft
 
 from .errors import ShapeError
 
@@ -76,66 +74,6 @@ def _check_length(x: np.ndarray) -> None:
         raise ShapeError(f"transform length must be >= 1, got shape {x.shape}")
 
 
-@lru_cache(maxsize=8)
-def _dft_matrix(n: int) -> np.ndarray:
-    """Direct DFT kernel, W[k, m] = exp(-2j*pi*k*m/n). Symmetric."""
-    k = np.arange(n)
-    return np.exp((-2j * np.pi / n) * np.outer(k, k))
-
-
-@lru_cache(maxsize=8)
-def _cas_matrix(n: int) -> np.ndarray:
-    """Direct DHT kernel, C[k, m] = cas(2*pi*k*m/n). Symmetric."""
-    k = np.arange(n)
-    theta = (2.0 * np.pi / n) * np.outer(k, k)
-    return np.cos(theta) + np.sin(theta)
-
-
-@lru_cache(maxsize=16)
-def _fft_plan(n: int):
-    """Bit-reversal permutation and per-stage twiddles for power-of-two n."""
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    twiddles = []
-    m = 2
-    while m <= n:
-        twiddles.append(np.exp((-2j * np.pi / m) * np.arange(m // 2)))
-        m *= 2
-    return rev, tuple(twiddles)
-
-
-def _fft_pow2_last(x: np.ndarray) -> np.ndarray:
-    """Radix-2 DIT FFT along the last axis; last extent must be a power of two."""
-    n = x.shape[-1]
-    if n == 1:
-        return x.copy()
-    rev, twiddles = _fft_plan(n)
-    y = np.ascontiguousarray(x[..., rev])
-    flat = y.reshape(-1, n)
-    for w in twiddles:
-        m = 2 * w.shape[0]
-        v = flat.reshape(flat.shape[0], n // m, m)
-        even = v[..., : m // 2]
-        odd = v[..., m // 2:]
-        t = odd * w
-        # odd slot first: it reads even's pre-update values
-        np.subtract(even, t, out=odd)
-        np.add(even, t, out=even)
-    return y
-
-
-def _fft_last(x: np.ndarray) -> np.ndarray:
-    """Unnormalized DFT along the last axis, batched over leading axes."""
-    n = x.shape[-1]
-    if n & (n - 1) == 0:
-        return _fft_pow2_last(x)
-    return x @ _dft_matrix(n)
-
-
 def dft_naive(x) -> np.ndarray:
     """Direct O(N^2) DFT, y_k = sum_n x_n exp(-2j*pi*n*k/N).
 
@@ -143,39 +81,35 @@ def dft_naive(x) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.complex128)
     _check_length(x)
-    return x @ _dft_matrix(x.shape[-1])
+    n = x.shape[-1]
+    k = np.arange(n)
+    # reducing k*m mod n before scaling keeps the phase exact for large n
+    return x @ np.exp((-2j * np.pi / n) * (np.outer(k, k) % n))
 
 
 def fft(x) -> np.ndarray:
-    """Fast DFT with the same value contract as :func:`dft_naive`.
-
-    Radix-2 iterative decimation-in-time for power-of-two lengths, direct
-    kernel evaluation otherwise.
-    """
+    """Fast DFT along the last axis with the same value contract as :func:`dft_naive`."""
     x = np.asarray(x, dtype=np.complex128)
     _check_length(x)
-    return _fft_last(x)
+    return scipy.fft.fft(x)
 
 
 def dht_naive(x) -> np.ndarray:
     """Direct O(N^2) discrete Hartley transform, y_k = sum_n x_n cas(2*pi*n*k/N)."""
     x = np.asarray(x, dtype=np.float64)
     _check_length(x)
-    return x @ _cas_matrix(x.shape[-1])
+    n = x.shape[-1]
+    k = np.arange(n)
+    theta = (2.0 * np.pi / n) * (np.outer(k, k) % n)
+    return x @ (np.cos(theta) + np.sin(theta))
 
 
 def fht(x) -> np.ndarray:
     """Fast Hartley transform of a real sequence, computed as Re(fft) - Im(fft)."""
     x = np.asarray(x, dtype=np.float64)
     _check_length(x)
-    f = _fft_last(x.astype(np.complex128))
+    f = scipy.fft.fft(x)
     return f.real - f.imag
-
-
-def _dft2(x: np.ndarray) -> np.ndarray:
-    """Unnormalized 2D DFT of an L x H matrix: hidden axis first, then sequence."""
-    f = _fft_last(np.asarray(x, dtype=np.complex128))
-    return np.ascontiguousarray(_fft_last(np.ascontiguousarray(f.T)).T)
 
 
 def _check_matrix(x: np.ndarray) -> None:
@@ -190,7 +124,7 @@ def mix2d(x, kind: MixingKind) -> np.ndarray:
     """
     x = np.asarray(x, dtype=np.float64)
     _check_matrix(x)
-    f = _dft2(x)
+    f = scipy.fft.fft2(x)
     if kind is MixingKind.FOURIER_REAL:
         return np.ascontiguousarray(f.real)
     if kind is MixingKind.HARTLEY:
@@ -220,7 +154,7 @@ def mix2d_vjp(kind: MixingKind, x, grad_out) -> np.ndarray:
     if x.shape != grad_out.shape:
         raise ShapeError(f"x shape {x.shape} != grad_out shape {grad_out.shape}")
     _check_matrix(x)
-    f = _dft2(x)
+    f = scipy.fft.fft2(x)
     re, im = f.real, f.imag
     if kind is MixingKind.MODULUS:
         r = np.abs(f)
@@ -235,4 +169,4 @@ def mix2d_vjp(kind: MixingKind, x, grad_out) -> np.ndarray:
     else:
         raise ValueError(f"unhandled mixing kind {kind!r}")
     # sum_kh u*cos(theta) - v*sin(theta) == Re(DFT2(u - i v)) by kernel symmetry
-    return np.ascontiguousarray(_dft2(u - 1j * v).real)
+    return np.ascontiguousarray(scipy.fft.fft2(u - 1j * v).real)

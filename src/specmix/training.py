@@ -200,16 +200,19 @@ class _EpochSampler:
     def __init__(self, n: int, rng):
         self.n = n
         self.rng = rng
-        self.queue = []
+        self.order = np.empty(0, dtype=np.int64)
+        self.cursor = 0
         self.epochs_started = 0
 
     def take(self, count: int):
         out = []
         while len(out) < count:
-            if not self.queue:
-                self.queue = list(self.rng.permutation(self.n))
+            if self.cursor == len(self.order):
+                self.order = self.rng.permutation(self.n)
+                self.cursor = 0
                 self.epochs_started += 1
-            out.append(int(self.queue.pop(0)))
+            out.append(int(self.order[self.cursor]))
+            self.cursor += 1
         return out
 
 

@@ -1,17 +1,28 @@
 """Benchmark harness checks at toy sizes (no performance assertions here)."""
 
+import types
+
 import numpy as np
 import pytest
 
+from specmix import bench
 from specmix.bench import (
     ATTENTION,
     BenchResult,
-    _time_workload,
+    _time_workloads,
     bench_mixing_vs_attention,
     results_csv,
     results_markdown,
 )
 from specmix.errors import ConfigError
+
+
+@pytest.fixture
+def fake_clock(monkeypatch):
+    """A clock the timed functions advance themselves; returns its one-item state."""
+    clock = [0.0]
+    monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    return clock
 
 
 @pytest.fixture(scope="module")
@@ -60,14 +71,43 @@ class TestHarness:
         with pytest.raises(ConfigError, match="seq_lens"):
             bench_mixing_vs_attention([0], d_model=8, n_heads=2)
 
-    def test_checksum_guard_rejects_non_finite(self):
-        with pytest.raises(FloatingPointError, match="checksum"):
-            _time_workload(lambda: np.array([np.inf]), repeats=5, warmup=2)
+    def test_checksum_guard_rejects_non_finite(self, fake_clock):
+        def fn():
+            fake_clock[0] += bench.MIN_SAMPLE_S
+            return np.array([np.inf])
 
-    def test_timer_counts_only_timed_iterations(self):
+        with pytest.raises(FloatingPointError, match="checksum"):
+            _time_workloads([fn], repeats=5, warmup=2)
+
+    def test_timer_counts_only_timed_iterations(self, fake_clock):
+        # The 2 warmup calls take 100 s each and every later call
+        # 0.75 * MIN_SAMPLE_S, so each sample averages 2 calls. A timed warmup
+        # call would show in the median; an extra or missing call in the count.
         calls = []
-        _time_workload(lambda: calls.append(1) or np.zeros(1), repeats=5, warmup=2)
-        assert len(calls) == 7
+        step = 0.75 * bench.MIN_SAMPLE_S
+
+        def fn():
+            calls.append(1)
+            fake_clock[0] += 100.0 if len(calls) <= 2 else step
+            return np.zeros(1)
+
+        [median] = _time_workloads([fn], repeats=5, warmup=2)
+        assert len(calls) == 2 + 5 * 2
+        assert median == pytest.approx(step, rel=1e-9)
+
+    def test_workloads_are_timed_round_robin(self, fake_clock):
+        # each sample needs 2 calls; the calls of the two workloads interleave
+        order = []
+
+        def workload(name):
+            def fn():
+                order.append(name)
+                fake_clock[0] += 0.75 * bench.MIN_SAMPLE_S
+                return np.zeros(1)
+            return fn
+
+        _time_workloads([workload("a"), workload("b")], repeats=5, warmup=2)
+        assert order == ["a", "a", "b", "b"] + ["a", "b"] * 2 * 5
 
 
 class TestEmitters:

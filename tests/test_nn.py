@@ -1,5 +1,7 @@
 """Dense op forward values (hand-derived) and VJPs against finite differences."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,18 @@ class TestMaskedCrossEntropy:
     def test_label_out_of_range(self):
         with pytest.raises(ShapeError):
             nn.masked_cross_entropy(Node(np.zeros((2, 4))), [0, 4], None)
+
+    def test_underflowing_label_probability_stays_finite(self):
+        """exp(-805) underflows to 0, but its log is finite: log-sum-exp keeps it."""
+        logits = Node(np.array([[0.0, -800.0, 5.0]]))
+        tape = Tape()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = nn.masked_cross_entropy(logits, [1], tape)
+            tape.backward(out)
+        assert out.value == pytest.approx(805.0 + np.log1p(np.exp(-5.0)), rel=1e-12)
+        np.testing.assert_allclose(logits.grad, [[1 / (1 + np.exp(5.0)), -1.0,
+                                                  1 / (1 + np.exp(-5.0))]], atol=1e-12)
 
     def test_labels_shape_mismatch(self):
         with pytest.raises(ShapeError):

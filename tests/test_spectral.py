@@ -235,3 +235,61 @@ class TestMix2dVjp:
         x = np.zeros((3, 4))
         g = np.ones((3, 4))
         np.testing.assert_allclose(mix2d_vjp(MixingKind.MODULUS, x, g), 0.0)
+
+
+def _naive_dft2(x):
+    """2D DFT from the 1D oracle applied along the hidden axis, then the sequence axis."""
+    return dft_naive(dft_naive(x).T).T
+
+
+def _project(kind, f):
+    if kind is MixingKind.FOURIER_REAL:
+        return f.real
+    if kind is MixingKind.HARTLEY:
+        return f.real - f.imag
+    if kind is MixingKind.FOURIER_IMAG:
+        return f.imag
+    if kind is MixingKind.MODULUS:
+        return np.abs(f)
+    return np.arctan2(f.imag, f.real)
+
+
+def _scaled_gap(got, want):
+    """Max abs gap on the orthonormal scale, i.e. divided by sqrt(L*H)."""
+    return np.max(np.abs(got - want)) / np.sqrt(got.size)
+
+
+# Lengths the long-document and summarize workloads feed the encoder: not
+# powers of two, and far past the 16 x 16 the oracle tests above reach.
+WORKLOAD_SHAPES = [(1000, 96), (1740, 96)]
+
+
+@pytest.fixture(scope="module", params=WORKLOAD_SHAPES, ids=lambda s: f"{s[0]}x{s[1]}")
+def workload_case(request):
+    x = np.random.default_rng(request.param[0]).normal(size=request.param)
+    return x, _naive_dft2(x)
+
+
+class TestMixingAtWorkloadShapes:
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_mix2d_matches_naive_dft2(self, workload_case, kind):
+        x, f = workload_case
+        got, want = mix2d(x, kind), _project(kind, f)
+        if kind is MixingKind.PHASE:
+            # a real spectrum entry sits on the branch cut, where +pi and -pi
+            # are the same angle; compare angles modulo 2*pi
+            got = want + np.angle(np.exp(1j * (got - want)))
+        assert _scaled_gap(got, want) <= 1e-9
+
+    @pytest.mark.parametrize("kind", [MixingKind.MODULUS, MixingKind.PHASE])
+    def test_vjp_matches_naive_dft2(self, workload_case, kind):
+        x, f = workload_case
+        g = np.random.default_rng(x.shape[0] + 1).normal(size=x.shape)
+        # d proj / d(Re F, Im F), then the adjoint of the 2D DFT: Re(DFT2(u - i v))
+        if kind is MixingKind.MODULUS:
+            u, v = g * f.real / np.abs(f), g * f.imag / np.abs(f)
+        else:
+            rho2 = np.abs(f) ** 2
+            u, v = -g * f.imag / rho2, g * f.real / rho2
+        want = _naive_dft2(u - 1j * v).real
+        assert _scaled_gap(mix2d_vjp(kind, x, g), want) <= 1e-9

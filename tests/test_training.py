@@ -22,6 +22,7 @@ from specmix.training import (
     pack_corpus,
     train_mlm,
     train_seq2seq,
+    _EpochSampler,
 )
 
 TOK = ByteTokenizer()
@@ -292,6 +293,18 @@ class TestTrainMlm:
                                optimizer=AdamW(base_lr=1e-3, warmup_steps=5))
         assert trace[0].lr == 0.0
         assert trace[2].lr == pytest.approx(1e-3 * 2 / 5)
+
+
+class TestEpochSampler:
+    def test_stream_is_the_seeded_permutations_in_order(self):
+        n = 7
+        sampler = _EpochSampler(n, SplitRng(4).split(0))
+        # uneven takes that cross epoch boundaries, 3 epochs in all
+        stream = [i for count in (3, 5, 2, 1, 10) for i in sampler.take(count)]
+        rng = SplitRng(4).split(0)
+        expected = np.concatenate([rng.permutation(n) for _ in range(3)])
+        assert stream == expected.tolist()
+        assert sampler.epochs_started == 3
 
 
 class TestEarlyStopper:
