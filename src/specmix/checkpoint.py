@@ -12,13 +12,17 @@ Layout, all integers little-endian:
     u32 CRC32 (zlib) over every byte after the 8-byte header
 
 Entries are written in sorted-name order and JSON is canonicalized, so
-save -> load -> save reproduces the file byte for byte. Optimizer moments are
+save -> load -> save reproduces the file byte for byte. Saving writes a
+temporary file beside the target and renames it over the target, so a crash
+mid-write leaves the previous checkpoint intact. Optimizer moments are
 deliberately not part of the format; resuming restarts them.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -59,11 +63,21 @@ def save_checkpoint(path, config: dict, arrays: dict) -> None:
             body += struct.pack("<I", dim)
         body += arr.tobytes()
     crc = zlib.crc32(bytes(body)) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        fh.write(body)
-        fh.write(struct.pack("<I", crc))
+    path = os.fspath(path)
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            fh.write(body)
+            fh.write(struct.pack("<I", crc))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class _Reader:
@@ -112,14 +126,20 @@ def load_checkpoint(path) -> Checkpoint:
     arrays = {}
     n_entries = r.u32()
     for _ in range(n_entries):
-        name = r.take(r.u16()).decode("utf-8")
+        try:
+            name = r.take(r.u16()).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CheckpointError(f"{path}: bad parameter name: {exc}") from exc
         if name in arrays:
             raise CheckpointError(f"{path}: duplicate parameter name {name}")
         ndim = r.u8()
         shape = tuple(r.u32() for _ in range(ndim))
-        count = int(np.prod(shape)) if shape else 1
-        payload = r.take(count * 8)
-        arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        # Python integers: a numpy product of huge dims wraps, even to 0.
+        payload = r.take(math.prod(shape) * 8)
+        try:
+            arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        except ValueError as exc:  # more dimensions than numpy supports
+            raise CheckpointError(f"{path}: parameter {name}: {exc}") from exc
     if r.pos != len(body):
         raise CheckpointError(f"{path}: {len(body) - r.pos} trailing bytes after entries")
     return Checkpoint(config=config, arrays=arrays)

@@ -303,6 +303,28 @@ def _attention_bias(l_q: int, l_k: int, causal: bool, pad_mask) -> np.ndarray | 
     return bias
 
 
+def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, bias=None,
+            weights: np.ndarray | None = None) -> np.ndarray:
+    """Per-head softmax(q k^T / sqrt(d_h) + bias) v over projected, head-split inputs.
+
+    qh is [..., L_q, H, d_h] and kh, vh are [..., L_k, H, d_h] with leading
+    axes that broadcast against q's, so one key set can serve a batch of
+    queries. Heads run one at a time. When given, weights [H, L_q, L_k]
+    receives each head's softmax.
+    """
+    scale = 1.0 / np.sqrt(qh.shape[-1])
+    ctx = np.empty(qh.shape)
+    for h in range(qh.shape[-2]):
+        scores = (qh[..., h, :] @ np.swapaxes(kh[..., h, :], -1, -2)) * scale
+        if bias is not None:
+            scores += bias
+        a = _softmax_rows(scores)
+        if weights is not None:
+            weights[h] = a
+        ctx[..., h, :] = a @ vh[..., h, :]
+    return ctx
+
+
 def multi_head_attention(
     q: Node,
     k: Node,
@@ -336,18 +358,8 @@ def multi_head_attention(
     kh = kp.value.reshape(l_k, n_heads, dh)
     vh = vp.value.reshape(l_k, n_heads, dh)
 
-    ctx = np.empty((l_q, n_heads, dh))
     weights = np.empty((n_heads, l_q, l_k)) if tape is not None else None
-    for h in range(n_heads):
-        scores = (qh[:, h, :] @ kh[:, h, :].T) * scale
-        if bias is not None:
-            scores += bias
-        a = _softmax_rows(scores)
-        if weights is not None:
-            weights[h] = a
-        ctx[:, h, :] = a @ vh[:, h, :]
-
-    concat = Node(ctx.reshape(l_q, d))
+    concat = Node(_attend(qh, kh, vh, bias, weights).reshape(l_q, d))
     if tape is not None:
         def backward():
             g = concat.grad

@@ -8,7 +8,10 @@ reaches encoder parameters.
 Generation is length-normalized beam search (beam 1 is greedy) with an
 optional no-repeat n-gram constraint: a candidate token whose selection would
 complete an n-gram already present in its hypothesis is banned before
-selection. No key-value caching; each step re-runs the decoder on the prefix.
+selection. Decoding is incremental: cross-attention keys and values are
+projected once per source, each hypothesis keeps its self-attention keys and
+values, and one decoder step advances every live hypothesis at once.
+``decoder_forward`` runs the whole target at once, for teacher-forced training.
 """
 
 from __future__ import annotations
@@ -178,6 +181,35 @@ def _attn_params(decoder: dict, prefix: str) -> AttentionParams:
     })
 
 
+def _decoder_stack(cfg: DecoderConfig, decoder: dict, ids, positions, attend_self,
+                   attend_cross, tape: Tape | None) -> Node:
+    """Vocabulary logits from the decoder's sub-layers, in their one fixed order.
+
+    Embeddings of ids at positions, then per layer self-attention, cross-
+    attention and feed-forward, each added to its input and normalized, then
+    the tied output projection. attend_self(i, x) and attend_cross(i, u)
+    return layer i's attention outputs, so the caller decides where keys and
+    values come from.
+    """
+    def ln(prefix, x):
+        return nn.layer_norm(x, decoder[f"{prefix}.gamma"], decoder[f"{prefix}.beta"],
+                             cfg.layer_norm_eps, tape)
+
+    word = nn.embedding_lookup(ids, decoder["decoder.embeddings.word"], tape)
+    pos = nn.embedding_lookup(positions, decoder["decoder.embeddings.position"], tape)
+    x = ln("decoder.embeddings.ln", nn.add(word, pos, tape))
+
+    for i in range(cfg.n_layers):
+        u = ln(f"decoder.layer{i}.self_ln", nn.add(x, attend_self(i, x), tape))
+        w = ln(f"decoder.layer{i}.cross_ln", nn.add(u, attend_cross(i, u), tape))
+        h = nn.linear(w, decoder[f"decoder.layer{i}.ff.w1"], decoder[f"decoder.layer{i}.ff.b1"], tape)
+        h = nn.gelu(h, tape)
+        h = nn.linear(h, decoder[f"decoder.layer{i}.ff.w2"], decoder[f"decoder.layer{i}.ff.b2"], tape)
+        x = ln(f"decoder.layer{i}.ff_ln", nn.add(w, h, tape))
+
+    return nn.tied_logits(x, decoder["decoder.embeddings.word"], decoder["decoder.output_bias"], tape)
+
+
 def decoder_forward(cfg: DecoderConfig, decoder: dict, target_ids, encoder_out: Node,
                     tape: Tape | None = None) -> Node:
     """Vocabulary logits [L_tgt, V] given the causal prefix and encoder states."""
@@ -191,33 +223,18 @@ def decoder_forward(cfg: DecoderConfig, decoder: dict, target_ids, encoder_out: 
         raise ShapeError(
             f"encoder output shape {encoder_out.value.shape} incompatible with d_model {cfg.d_model}"
         )
-    eps = cfg.layer_norm_eps
     self_cfg = AttentionConfig(n_heads=cfg.n_heads, d_model=cfg.d_model, causal=True)
     cross_cfg = AttentionConfig(n_heads=cfg.n_heads, d_model=cfg.d_model, causal=False)
 
-    def ln(prefix, x):
-        return nn.layer_norm(x, decoder[f"{prefix}.gamma"], decoder[f"{prefix}.beta"], eps, tape)
+    def attend_self(i, x):
+        params = _attn_params(decoder, f"decoder.layer{i}.self_attn")
+        return nn.multi_head_attention(x, x, x, params, self_cfg, tape)
 
-    word = nn.embedding_lookup(target_ids, decoder["decoder.embeddings.word"], tape)
-    pos = nn.embedding_lookup(np.arange(L), decoder["decoder.embeddings.position"], tape)
-    x = ln("decoder.embeddings.ln", nn.add(word, pos, tape))
+    def attend_cross(i, u):
+        params = _attn_params(decoder, f"decoder.layer{i}.cross_attn")
+        return nn.multi_head_attention(u, encoder_out, encoder_out, params, cross_cfg, tape)
 
-    for i in range(cfg.n_layers):
-        sa = nn.multi_head_attention(
-            x, x, x, _attn_params(decoder, f"decoder.layer{i}.self_attn"), self_cfg, tape
-        )
-        u = ln(f"decoder.layer{i}.self_ln", nn.add(x, sa, tape))
-        ca = nn.multi_head_attention(
-            u, encoder_out, encoder_out,
-            _attn_params(decoder, f"decoder.layer{i}.cross_attn"), cross_cfg, tape,
-        )
-        w = ln(f"decoder.layer{i}.cross_ln", nn.add(u, ca, tape))
-        h = nn.linear(w, decoder[f"decoder.layer{i}.ff.w1"], decoder[f"decoder.layer{i}.ff.b1"], tape)
-        h = nn.gelu(h, tape)
-        h = nn.linear(h, decoder[f"decoder.layer{i}.ff.w2"], decoder[f"decoder.layer{i}.ff.b2"], tape)
-        x = ln(f"decoder.layer{i}.ff_ln", nn.add(w, h, tape))
-
-    return nn.tied_logits(x, decoder["decoder.embeddings.word"], decoder["decoder.output_bias"], tape)
+    return _decoder_stack(cfg, decoder, target_ids, np.arange(L), attend_self, attend_cross, tape)
 
 
 def seq2seq_loss(state: Seq2SeqState, source_ids, target_ids, tape: Tape | None = None,
@@ -233,63 +250,130 @@ def seq2seq_loss(state: Seq2SeqState, source_ids, target_ids, tape: Tape | None 
     return nn.masked_cross_entropy(logits, labels, tape)
 
 
-def _banned_tokens(tokens, n: int) -> set:
-    """Token ids that would complete an n-gram already present in tokens."""
+def _record_ngram(seen: dict, tokens: list, n: int) -> dict:
+    """Index the n-gram that tokens[-1] completes: (n-1)-gram -> tokens seen after it.
+
+    Values are frozensets, so a shallow dict copy gives a hypothesis its own
+    index. Returns seen, updated in place.
+    """
+    if 0 < n <= len(tokens):
+        key = tuple(tokens[len(tokens) - n:-1])
+        seen[key] = seen.get(key, frozenset()) | {tokens[-1]}
+    return seen
+
+
+def _banned_tokens(seen: dict, tokens: list, n: int) -> frozenset:
+    """Token ids that would complete an n-gram already present in tokens.
+
+    seen is the index _record_ngram built over every prefix of tokens.
+    """
     if n <= 0 or len(tokens) < n - 1:
-        return set()
-    prefix = tuple(tokens[len(tokens) - (n - 1):]) if n > 1 else ()
-    banned = set()
-    for start in range(len(tokens) - n + 1):
-        window = tuple(tokens[start:start + n])
-        if window[:-1] == prefix:
-            banned.add(window[-1])
-    return banned
+        return frozenset()
+    return seen.get(tuple(tokens[len(tokens) - (n - 1):]), frozenset())
+
+
+def _proj(decoder: dict, prefix: str, w: str, x: Node) -> Node:
+    return nn.linear(x, decoder[f"{prefix}.w{w}"], decoder[f"{prefix}.b{w}"], None)
+
+
+def _decoder_step(cfg: DecoderConfig, decoder: dict, tokens, cross_kv: list,
+                  self_kv: list):
+    """Logits [B, V] at the next position of B hypotheses, in one decoder pass.
+
+    tokens [B] holds each hypothesis's newest token. Layer i attends over the
+    encoder's keys and values cross_kv[i] ([L_src, H, d_h] each), and over
+    its own position plus self_kv[i] ([B, t, H, d_h] each, the t positions
+    before it). Row b equals the last row of
+    decoder_forward on hypothesis b's whole prefix, up to rounding. Returns
+    the logits and self_kv extended by this position.
+    """
+    n, t = len(tokens), self_kv[0][0].shape[1]
+    heads = (cfg.n_heads, cfg.d_model // cfg.n_heads)
+    extended = []
+
+    def attend_self(i, x):
+        prefix = f"decoder.layer{i}.self_attn"
+        k, v = (np.concatenate((cached, _proj(decoder, prefix, w, x).value.reshape(n, 1, *heads)),
+                               axis=1)
+                for cached, w in zip(self_kv[i], "kv"))
+        extended.append((k, v))
+        ctx = nn._attend(_proj(decoder, prefix, "q", x).value.reshape(n, 1, *heads), k, v)
+        return _proj(decoder, prefix, "o", Node(ctx.reshape(n, cfg.d_model)))
+
+    def attend_cross(i, u):
+        prefix = f"decoder.layer{i}.cross_attn"
+        ctx = nn._attend(_proj(decoder, prefix, "q", u).value.reshape(n, *heads), *cross_kv[i])
+        return _proj(decoder, prefix, "o", Node(ctx.reshape(n, cfg.d_model)))
+
+    logits = _decoder_stack(cfg, decoder, tokens, np.full(n, t), attend_self, attend_cross, None)
+    return logits.value, extended
 
 
 def generate(state: Seq2SeqState, source_ids, gen: GenerationConfig) -> list:
     """Beam-searched token ids for one source, bos/eos stripped from the result.
 
+    Decoding is incremental. The source is encoded once and each layer's
+    cross-attention keys and values are projected once. Every live
+    hypothesis keeps its self-attention keys and values, and each step runs
+    all of them through the decoder as one [beam, d] batch that extends those
+    caches by one position; beam selection reorders the caches to the kept
+    hypotheses.
+
     Hypotheses are ranked by mean log-probability per generated token; ties
     break toward the lower token id, then the earlier hypothesis. The n-gram
-    constraint scans the whole hypothesis including bos.
+    constraint covers the whole hypothesis including bos, through an index
+    each hypothesis extends as it grows.
     """
     source_ids = np.asarray(source_ids, dtype=np.int64)[: gen.max_input_len]
     hidden = encoder_forward(state.encoder_cfg, state.encoder, source_ids)
+    cfg, decoder = state.decoder_cfg, state.decoder
+    heads = (cfg.n_heads, cfg.d_model // cfg.n_heads)
+    cross_kv = [
+        tuple(_proj(decoder, f"decoder.layer{i}.cross_attn", w, hidden).value.reshape(-1, *heads)
+              for w in "kv")
+        for i in range(cfg.n_layers)
+    ]
+    self_kv = [(np.empty((1, 0, *heads)), np.empty((1, 0, *heads)))] * cfg.n_layers
     # bos occupies one decoder position, so content length is capped below it.
-    max_len = min(gen.max_target_len, state.decoder_cfg.max_positions - 1)
+    max_len = min(gen.max_target_len, cfg.max_positions - 1)
+    n = gen.no_repeat_ngram
 
-    live = [([gen.bos_id], 0.0)]
+    live = [([gen.bos_id], 0.0, _record_ngram({}, [gen.bos_id], n))]
     finished = []
     for _ in range(max_len):
+        logits, self_kv = _decoder_step(cfg, decoder, [h[0][-1] for h in live], cross_kv, self_kv)
+        logp = nn.log_softmax_rows(logits)
         candidates = []
-        for hyp_idx, (tokens, total) in enumerate(live):
-            logits = decoder_forward(state.decoder_cfg, state.decoder, tokens, hidden)
-            logp = nn.log_softmax_rows(logits.value[-1])
-            for tok in _banned_tokens(tokens, gen.no_repeat_ngram):
-                logp[tok] = -np.inf
+        for hyp_idx, (tokens, total, seen) in enumerate(live):
+            row = logp[hyp_idx]
+            for tok in _banned_tokens(seen, tokens, n):
+                row[tok] = -np.inf
             # descending logp, exact ties resolved toward the lower token id
-            order = np.lexsort((np.arange(logp.shape[0]), -logp))[: gen.beam_size]
+            order = np.lexsort((np.arange(row.shape[0]), -row))[: gen.beam_size]
             for tok in order:
                 tok = int(tok)
-                if not np.isfinite(logp[tok]):
+                if not np.isfinite(row[tok]):
                     continue
-                new_total = total + float(logp[tok])
+                new_total = total + float(row[tok])
                 n_generated = len(tokens)  # excludes bos, counts the new token
                 score = new_total / n_generated
                 candidates.append((score, tok, hyp_idx, new_total))
         if not candidates:
             break
         candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        next_live = []
+        next_live, keep = [], []
         for score, tok, hyp_idx, new_total in candidates[: gen.beam_size]:
-            tokens = live[hyp_idx][0] + [tok]
+            tokens, _, seen = live[hyp_idx]
+            tokens = tokens + [tok]
             if tok == gen.eos_id:
                 finished.append((score, tokens))
             else:
-                next_live.append((tokens, new_total))
+                next_live.append((tokens, new_total, _record_ngram(dict(seen), tokens, n)))
+                keep.append(hyp_idx)
         live = next_live
         if not live or len(finished) >= gen.beam_size:
             break
+        self_kv = [(k[keep], v[keep]) for k, v in self_kv]
 
     if finished:
         finished.sort(key=lambda c: -c[0])

@@ -134,7 +134,9 @@ def mix2d(x, kind: MixingKind) -> np.ndarray:
     if kind is MixingKind.MODULUS:
         return np.abs(f)
     if kind is MixingKind.PHASE:
-        return np.arctan2(f.imag, f.real)
+        # -0.0 + 0.0 is +0.0: a real negative entry maps to +pi whatever the
+        # sign of its zero imaginary part
+        return np.arctan2(f.imag + 0.0, f.real)
     raise ValueError(f"unhandled mixing kind {kind!r}")
 
 

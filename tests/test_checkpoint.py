@@ -5,8 +5,11 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from specmix.checkpoint import MAGIC, Checkpoint, load_checkpoint, save_checkpoint
+from specmix import checkpoint
+from specmix.checkpoint import MAGIC, VERSION, Checkpoint, load_checkpoint, save_checkpoint
 from specmix.errors import CheckpointError
 
 
@@ -139,3 +142,129 @@ class TestCorruption:
 
     def test_magic_constant(self):
         assert MAGIC == b"SPMX"
+
+    def test_huge_declared_dims_rejected(self, tmp_path):
+        # 65536**4 * 8 bytes wraps int64 to 0, which must not pass for "no payload".
+        path = tmp_path / "m.spmx"
+        path.write_bytes(with_crc(entry_body(b"x", (65536,) * 4)))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+
+    def test_too_many_dims_rejected(self, tmp_path):
+        path = tmp_path / "m.spmx"
+        path.write_bytes(with_crc(entry_body(b"x", (1,) * 100) + b"\x00" * 8))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    def test_undecodable_name_rejected(self, tmp_path):
+        path = tmp_path / "m.spmx"
+        path.write_bytes(with_crc(entry_body(b"\xff", (1,)) + b"\x00" * 8))
+        with pytest.raises(CheckpointError, match="name"):
+            load_checkpoint(path)
+
+
+def entry_body(name: bytes, shape) -> bytes:
+    """Empty config, then one entry header declaring shape; no payload."""
+    return (struct.pack("<I", 2) + b"{}" + struct.pack("<I", 1)
+            + struct.pack("<H", len(name)) + name + struct.pack("<B", len(shape))
+            + b"".join(struct.pack("<I", dim) for dim in shape))
+
+
+def with_crc(body: bytes) -> bytes:
+    return MAGIC + struct.pack("<I", VERSION) + body + struct.pack("<I", zlib.crc32(body))
+
+
+def valid_file() -> bytes:
+    arrays = {"layer0.w": np.arange(6.0).reshape(2, 3), "b": np.ones(2), "s": np.zeros(())}
+    body = bytearray(struct.pack("<I", 2) + b"{}" + struct.pack("<I", len(arrays)))
+    for name in sorted(arrays):
+        arr = arrays[name]
+        body += struct.pack("<H", len(name)) + name.encode() + struct.pack("<B", arr.ndim)
+        body += b"".join(struct.pack("<I", dim) for dim in arr.shape)
+        body += arr.astype("<f8").tobytes()
+    return with_crc(bytes(body))
+
+
+@st.composite
+def corrupted_files(draw):
+    raw = valid_file()
+    body = bytearray(raw[8:-4])
+    kind = draw(st.sampled_from(("truncate", "flip", "huge_dim")))
+    if kind == "truncate":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if kind == "flip":
+        for _ in range(draw(st.integers(1, 4))):
+            body[draw(st.integers(0, len(body) - 1))] ^= 1 << draw(st.integers(0, 7))
+    else:
+        # the first entry ("b", shape (2,)) has its one dim at body offset 14
+        body[14:18] = struct.pack("<I", draw(st.integers(2**16, 2**32 - 1)))
+    return with_crc(bytes(body))
+
+
+class TestFuzz:
+    def test_valid_file_loads(self, tmp_path):
+        path = tmp_path / "m.spmx"
+        path.write_bytes(valid_file())
+        assert load_checkpoint(path).arrays["layer0.w"].shape == (2, 3)
+
+    @given(corrupted_files())
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_only_checkpoint_error_escapes(self, tmp_path, data):
+        path = tmp_path / "fuzz.spmx"
+        path.write_bytes(data)
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
+
+
+class FailingWriter:
+    """A file whose writes fail once more than `budget` bytes have been written."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.budget -= len(data)
+        if self.budget < 0:
+            self.fh.write(data[: len(data) // 2])
+            raise OSError("no space left on device")
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+
+class TestCrashSafety:
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.spmx"
+        save_checkpoint(path, SAMPLE_CONFIG, sample_arrays(0))
+        before = path.read_bytes()
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            return FailingWriter(open(file, mode, *args, **kwargs), budget=64)
+
+        monkeypatch.setattr(checkpoint, "open", failing_open, raising=False)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, SAMPLE_CONFIG, sample_arrays(1))
+        monkeypatch.undo()
+
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.spmx"]
+        arrays = load_checkpoint(path).arrays
+        for name, arr in sample_arrays(0).items():
+            assert arrays[name].tobytes() == arr.tobytes()
+
+    def test_save_leaves_only_the_target(self, tmp_path):
+        path = tmp_path / "model.spmx"
+        save_checkpoint(path, SAMPLE_CONFIG, sample_arrays(0))
+        save_checkpoint(str(path), SAMPLE_CONFIG, sample_arrays(1))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.spmx"]
+        assert load_checkpoint(path).arrays["emb"].tobytes() == sample_arrays(1)["emb"].tobytes()

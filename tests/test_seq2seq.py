@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fdcheck import check_grad
-from specmix.encoder import EncoderConfig
+from specmix import nn, seq2seq
+from specmix.encoder import EncoderConfig, encoder_forward
 from specmix.errors import ConfigError, ShapeError
 from specmix.nn import Node, Tape
 from specmix.rng import SplitRng
@@ -14,6 +17,7 @@ from specmix.seq2seq import (
     DecoderConfig,
     GenerationConfig,
     _banned_tokens,
+    _record_ngram,
     decoder_forward,
     generate,
     init_seq2seq_state,
@@ -193,21 +197,53 @@ class TestSeq2SeqGradients:
             check_grad(f, p.value, p.grad, 1e-4, zero_floor=1e-8)
 
 
+def scan_banned(tokens, n: int) -> set:
+    """Brute-force n-gram ban: rescan every window of the hypothesis."""
+    if n <= 0 or len(tokens) < n - 1:
+        return set()
+    prefix = tuple(tokens[len(tokens) - (n - 1):]) if n > 1 else ()
+    banned = set()
+    for start in range(len(tokens) - n + 1):
+        window = tuple(tokens[start:start + n])
+        if window[:-1] == prefix:
+            banned.add(window[-1])
+    return banned
+
+
+def indexed_banned(tokens, n: int) -> frozenset:
+    """The incremental index, grown one token at a time as generate grows it."""
+    seen = {}
+    for end in range(1, len(tokens) + 1):
+        _record_ngram(seen, tokens[:end], n)
+    return _banned_tokens(seen, tokens, n)
+
+
 class TestBannedTokens:
     def test_bigram_example(self):
         # Hypothesis [a,b,a]: bigram (a,b) exists and the tail is "a", so b is
         # banned for the next slot.
         a, b = 5, 6
-        assert _banned_tokens([BOS_ID, a, b, a], 2) == {b}
+        assert indexed_banned([BOS_ID, a, b, a], 2) == {b}
 
     def test_disabled(self):
-        assert _banned_tokens([BOS_ID, 5, 6, 5], 0) == set()
+        assert indexed_banned([BOS_ID, 5, 6, 5], 0) == set()
 
     def test_unigram_bans_everything_seen(self):
-        assert _banned_tokens([BOS_ID, 5, 6], 1) == {BOS_ID, 5, 6}
+        assert indexed_banned([BOS_ID, 5, 6], 1) == {BOS_ID, 5, 6}
 
     def test_too_short_for_prefix(self):
-        assert _banned_tokens([BOS_ID], 3) == set()
+        assert indexed_banned([BOS_ID], 3) == set()
+
+    def test_copied_index_is_independent(self):
+        parent = _record_ngram(_record_ngram({}, [5, 6], 2), [5, 6, 5], 2)
+        child = _record_ngram(dict(parent), [5, 6, 5, 7], 2)
+        assert _banned_tokens(child, [5, 6, 5, 7, 5], 2) == {6, 7}
+        assert _banned_tokens(parent, [5, 6, 5], 2) == {6}
+
+    @given(st.lists(st.integers(0, 3), max_size=12), st.integers(0, 4))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_index_matches_full_rescan(self, tokens, n):
+        assert indexed_banned(tokens, n) == scan_banned(tokens, n)
 
 
 def rig_constant_argmax(state, token, strength=10.0):
@@ -303,3 +339,125 @@ class TestGenerate:
             out = generate(state, [5, 6, 1, 5], gen)
             grams = [tuple(out[i:i + 2]) for i in range(len(out) - 1)]
             assert len(grams) == len(set(grams))
+
+
+def uncached_generate(state, source_ids, gen, step_rows):
+    """Reference beam search: decoder_forward over each hypothesis's whole prefix.
+
+    Scoring, tie-breaks, the full-rescan n-gram ban, early stop and output
+    framing are those generate must keep. step_rows receives, per step, the
+    [live, V] log-probabilities before the ban.
+    """
+    source_ids = np.asarray(source_ids, dtype=np.int64)[: gen.max_input_len]
+    hidden = encoder_forward(state.encoder_cfg, state.encoder, source_ids)
+    max_len = min(gen.max_target_len, state.decoder_cfg.max_positions - 1)
+    live = [([gen.bos_id], 0.0)]
+    finished = []
+    for _ in range(max_len):
+        candidates, rows = [], []
+        for hyp_idx, (tokens, total) in enumerate(live):
+            logits = decoder_forward(state.decoder_cfg, state.decoder, tokens, hidden)
+            logp = nn.log_softmax_rows(logits.value[-1])
+            rows.append(logp.copy())
+            for tok in scan_banned(tokens, gen.no_repeat_ngram):
+                logp[tok] = -np.inf
+            order = np.lexsort((np.arange(logp.shape[0]), -logp))[: gen.beam_size]
+            for tok in order:
+                tok = int(tok)
+                if np.isfinite(logp[tok]):
+                    new_total = total + float(logp[tok])
+                    candidates.append((new_total / len(tokens), tok, hyp_idx, new_total))
+        step_rows.append(np.array(rows))
+        if not candidates:
+            break
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        next_live = []
+        for score, tok, hyp_idx, new_total in candidates[: gen.beam_size]:
+            tokens = live[hyp_idx][0] + [tok]
+            if tok == gen.eos_id:
+                finished.append((score, tokens))
+            else:
+                next_live.append((tokens, new_total))
+        live = next_live
+        if not live or len(finished) >= gen.beam_size:
+            break
+    if finished:
+        finished.sort(key=lambda c: -c[0])
+        best = finished[0][1]
+    elif live:
+        best = max(
+            enumerate(live), key=lambda e: (e[1][1] / max(len(e[1][0]) - 1, 1), -e[0])
+        )[1][0]
+    else:
+        return []
+    best = best[1:]
+    if best and best[-1] == gen.eos_id:
+        best = best[:-1]
+    return best[: gen.max_target_len]
+
+
+@st.composite
+def decoding_cases(draw):
+    """A random small model, source and generation config."""
+    n_heads = draw(st.integers(1, 2))
+    d_model = n_heads * draw(st.sampled_from((2, 4)))
+    vocab = draw(st.integers(6, 12))
+    max_positions = draw(st.integers(2, 10))
+    enc = EncoderConfig(n_layers=draw(st.integers(1, 2)), d_model=d_model, d_ff=8,
+                        vocab_size=vocab, max_positions=8,
+                        mixing=draw(st.sampled_from(list(MixingKind))))
+    dec = DecoderConfig(n_layers=draw(st.integers(1, 2)), d_model=d_model, d_ff=8,
+                        n_heads=n_heads, vocab_size=vocab, max_positions=max_positions)
+    state = init_seq2seq_state(enc, dec, SplitRng(draw(st.integers(0, 2**16))))
+    scale = draw(st.sampled_from((1.0, 30.0)))  # 30 sharpens the logits
+    for p in state.decoder.values():
+        if p.value.ndim == 2:
+            p.value *= scale
+    source = draw(st.lists(st.integers(0, vocab - 1), min_size=1, max_size=8))
+    gen = GenerationConfig(max_input_len=8, max_target_len=draw(st.integers(1, max_positions)),
+                           no_repeat_ngram=draw(st.integers(0, 3)),
+                           beam_size=draw(st.integers(1, 4)),
+                           eos_id=draw(st.sampled_from((EOS_ID, vocab))))
+    return state, source, gen
+
+
+class TestCachedDecoding:
+    """generate's cached, beam-batched steps against the uncached reference."""
+
+    @given(decoding_cases())
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_matches_uncached_reference(self, case):
+        state, source, gen = case
+        cached_rows = []
+        log_softmax_rows = nn.log_softmax_rows
+
+        def spy(v):
+            out = log_softmax_rows(v)
+            cached_rows.append(out.copy())
+            return out
+
+        expected_rows = []
+        expected = uncached_generate(state, source, gen, expected_rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn, "log_softmax_rows", spy)
+            got = generate(state, source, gen)
+        assert got == expected
+        assert len(cached_rows) == len(expected_rows)
+        for got_rows, want_rows in zip(cached_rows, expected_rows):
+            assert got_rows.shape == want_rows.shape
+            assert np.max(np.abs(got_rows - want_rows)) <= 1e-10
+
+    @pytest.mark.parametrize("beam", [1, 2, 3, 4])
+    def test_unreachable_eos_runs_to_max_target_len(self, beam):
+        state = make_state(11)
+        gen = GenerationConfig(max_target_len=DEC.max_positions - 1, no_repeat_ngram=0,
+                               beam_size=beam, eos_id=DEC.vocab_size)
+        assert len(generate(state, [5, 6, 1, 5], gen)) == gen.max_target_len
+
+    def test_decoder_forward_not_called(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("generate re-ran decoder_forward")
+
+        monkeypatch.setattr(seq2seq, "decoder_forward", forbidden)
+        gen = GenerationConfig(max_target_len=5, no_repeat_ngram=2, beam_size=3)
+        assert len(generate(make_state(12), [5, 6, 1], gen)) <= 5

@@ -276,10 +276,18 @@ class TestMixingAtWorkloadShapes:
         x, f = workload_case
         got, want = mix2d(x, kind), _project(kind, f)
         if kind is MixingKind.PHASE:
-            # a real spectrum entry sits on the branch cut, where +pi and -pi
-            # are the same angle; compare angles modulo 2*pi
+            # at the Nyquist entries the oracle's imaginary part is rounding
+            # noise of either sign, which puts a real negative entry at +pi or
+            # -pi, the same angle; compare angles modulo 2*pi
             got = want + np.angle(np.exp(1j * (got - want)))
         assert _scaled_gap(got, want) <= 1e-9
+
+    def test_phase_at_negative_dc_is_plus_pi(self):
+        # the DC entry of a negative-sum input is real and negative; scipy's
+        # FFT gives it a -0.0 imaginary part where the oracle gives +0.0
+        x = np.random.default_rng(5).normal(size=(1000, 96)) - 0.5
+        assert mix2d(x, MixingKind.PHASE)[0, 0] == np.pi
+        assert _project(MixingKind.PHASE, _naive_dft2(x))[0, 0] == np.pi
 
     @pytest.mark.parametrize("kind", [MixingKind.MODULUS, MixingKind.PHASE])
     def test_vjp_matches_naive_dft2(self, workload_case, kind):
