@@ -30,13 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .nn import AttentionConfig, AttentionParams, Node, Parameter, multi_head_attention
+from .nn import AttentionConfig, AttentionParams, Node, init_params, multi_head_attention
 from .rng import SplitRng
 from .spectral import MixingKind, mix2d
 
 ATTENTION = "attention"
 MIXING_KINDS = (MixingKind.FOURIER_REAL, MixingKind.HARTLEY)
-INIT_SCALE = 0.02
 # One call of a fast transform lasts tens of milliseconds, short enough for
 # host speed drift to swamp the few-percent gap between two mixing kinds.
 MIN_SAMPLE_S = 0.2
@@ -61,11 +60,8 @@ def _single_thread():
 
 def _attention_params(d_model: int, rng: SplitRng) -> AttentionParams:
     names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-    params = {}
-    for name in names:
-        shape = (d_model, d_model) if name.startswith("w") else (d_model,)
-        params[name] = Parameter(name, rng.normal(size=shape) * INIT_SCALE)
-    return AttentionParams(**params)
+    shapes = {name: (d_model, d_model) if name.startswith("w") else (d_model,) for name in names}
+    return AttentionParams(**init_params(shapes, rng))
 
 
 def _time_workloads(fns, repeats: int, warmup: int) -> list:

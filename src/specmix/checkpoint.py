@@ -123,6 +123,8 @@ def load_checkpoint(path) -> Checkpoint:
         config = json.loads(r.take(r.u32()).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: bad embedded config: {exc}") from exc
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: embedded config must be a JSON object")
     arrays = {}
     n_entries = r.u32()
     for _ in range(n_entries):

@@ -45,6 +45,7 @@ from .training import (
     load_corpus_jsonl,
     load_pairs_jsonl,
     pack_corpus,
+    read_jsonl,
     train_mlm,
     train_seq2seq,
 )
@@ -227,36 +228,17 @@ def cmd_generate(args) -> int:
     state = _load_seq2seq_checkpoint(ckpt_path)
     gen = cfg.generation if cfg.generation is not None else GenerationConfig()
     tokenizer = ByteTokenizer()
-    count = 0
-    with open(sources_path, "r", encoding="utf-8") as src_fh, \
-            open(out, "w", encoding="utf-8") as out_fh:
-        for line_no, line in enumerate(src_fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "source" not in record:
-                raise ConfigError(f"{sources_path}:{line_no}: missing 'source' field")
-            ids = generate(state, tokenizer.encode(record["source"]), gen)
-            out_fh.write(json.dumps(
-                {"source": record["source"], "generated": tokenizer.decode(ids)}
-            ) + "\n")
-            count += 1
-    print(f"generated {count} sequences -> {out}")
+    sources = read_jsonl(sources_path, ("source",))
+    with open(out, "w", encoding="utf-8") as out_fh:
+        for source, in sources:
+            ids = generate(state, tokenizer.encode(source), gen)
+            out_fh.write(json.dumps({"source": source, "generated": tokenizer.decode(ids)}) + "\n")
+    print(f"generated {len(sources)} sequences -> {out}")
     return 0
 
 
 def _read_rouge_pairs(path):
-    pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "hyp" not in record or "ref" not in record:
-                raise ConfigError(f"{path}:{line_no}: missing 'hyp'/'ref' field")
-            pairs.append((record["hyp"], record["ref"]))
+    pairs = read_jsonl(path, ("hyp", "ref"))
     if not pairs:
         raise ConfigError(f"{path}: no evaluation pairs")
     return pairs

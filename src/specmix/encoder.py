@@ -24,9 +24,6 @@ from .nn import Node, Parameter, Tape
 from .rng import SplitRng
 from .spectral import MixingKind, mix2d, mix2d_vjp
 
-INIT_SCALE = 0.02
-
-
 @dataclass(frozen=True)
 class EncoderConfig:
     n_layers: int
@@ -96,14 +93,6 @@ def count_params(cfg: EncoderConfig, with_mlm_head=True) -> int:
     return sum(int(np.prod(shape)) for shape in param_shapes(cfg, with_mlm_head).values())
 
 
-def _init_tensor(name: str, shape, rng) -> np.ndarray:
-    if name.endswith(".gamma"):
-        return np.ones(shape)
-    if name.endswith((".beta", ".b", ".b1", ".b2", ".bias")) or len(shape) == 1:
-        return np.zeros(shape)
-    return rng.normal(size=shape) * INIT_SCALE
-
-
 class EncoderState:
     """Named Parameter set; layout is dictated by param_shapes."""
 
@@ -127,10 +116,7 @@ class EncoderState:
 
 def init_encoder_state(cfg: EncoderConfig, rng: SplitRng, with_mlm_head=True) -> EncoderState:
     """Gaussian(0, 0.02) matrices, zero biases/shifts, unit scales."""
-    params = {}
-    for name, shape in param_shapes(cfg, with_mlm_head).items():
-        params[name] = Parameter(name, _init_tensor(name, shape, rng))
-    return EncoderState(params)
+    return EncoderState(nn.init_params(param_shapes(cfg, with_mlm_head), rng))
 
 
 def mix_tokens(x: Node, kind: MixingKind, tape: Tape | None) -> Node:
@@ -143,20 +129,6 @@ def mix_tokens(x: Node, kind: MixingKind, tape: Tape | None) -> Node:
             x.add_grad(mix2d_vjp(kind, x.value, out.grad))
         tape.record(backward)
     return out
-
-
-def _check_state(cfg: EncoderConfig, state: EncoderState) -> None:
-    expected = param_shapes(cfg, with_mlm_head=state.has_mlm_head)
-    missing = sorted(set(expected) - set(state.params))
-    extra = sorted(set(state.params) - set(expected))
-    if missing or extra:
-        raise CheckpointError(
-            f"state does not match config: missing {missing}, extra {extra}"
-        )
-    for name, shape in expected.items():
-        got = state[name].value.shape
-        if got != shape:
-            raise CheckpointError(f"parameter {name} has shape {got}, expected {shape}")
 
 
 def _layer_norm(state, prefix, x, eps, tape):
@@ -231,21 +203,8 @@ def encoder_config_from_dict(data: dict) -> EncoderConfig:
 
 def state_from_arrays(cfg: EncoderConfig, arrays: dict) -> EncoderState:
     """Rebuild an EncoderState from checkpoint arrays, validating the name set."""
-    with_head = "mlm.bias" in arrays
-    expected = param_shapes(cfg, with_mlm_head=with_head)
-    missing = sorted(set(expected) - set(arrays))
-    extra = sorted(set(arrays) - set(expected))
-    if missing or extra:
-        raise CheckpointError(
-            f"checkpoint does not match config: missing {missing}, extra {extra}"
-        )
-    params = {}
-    for name, shape in expected.items():
-        arr = np.asarray(arrays[name], dtype=np.float64)
-        if arr.shape != shape:
-            raise CheckpointError(f"parameter {name} has shape {arr.shape}, expected {shape}")
-        params[name] = Parameter(name, arr.copy())
-    return EncoderState(params)
+    shapes = param_shapes(cfg, with_mlm_head="mlm.bias" in arrays)
+    return EncoderState(nn.params_from_arrays(shapes, arrays, "encoder config"))
 
 
 def swap_mixing(checkpoint, new_kind: MixingKind):

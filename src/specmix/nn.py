@@ -19,9 +19,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import ShapeError
+from .errors import CheckpointError, ShapeError
 
 IGNORE_LABEL = -1
+INIT_SCALE = 0.02
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -54,6 +55,45 @@ class Parameter(Node):
 
     def zero_grad(self) -> None:
         self.grad[...] = 0.0
+
+
+def init_params(shapes: dict, rng) -> dict:
+    """Fresh Parameters for a name -> shape spec, drawn from rng in spec order.
+
+    Layer-norm scales (``.gamma``) start at one, every other 1-D tensor at
+    zero, and every matrix at N(0, INIT_SCALE).
+    """
+    params = {}
+    for name, shape in shapes.items():
+        if name.endswith(".gamma"):
+            value = np.ones(shape)
+        elif len(shape) == 1:
+            value = np.zeros(shape)
+        else:
+            value = rng.normal(size=shape) * INIT_SCALE
+        params[name] = Parameter(name, value)
+    return params
+
+
+def params_from_arrays(shapes: dict, arrays: dict, what: str) -> dict:
+    """Parameters for exactly the names in shapes, copied from arrays as float64.
+
+    A missing name, an extra name or a wrong shape raises CheckpointError;
+    what names the spec in the message.
+    """
+    missing = sorted(set(shapes) - set(arrays))
+    extra = sorted(set(arrays) - set(shapes))
+    if missing or extra:
+        raise CheckpointError(
+            f"checkpoint does not match {what}: missing {missing}, extra {extra}"
+        )
+    params = {}
+    for name, shape in shapes.items():
+        value = np.array(arrays[name], dtype=np.float64)
+        if value.shape != shape:
+            raise CheckpointError(f"parameter {name} has shape {value.shape}, expected {shape}")
+        params[name] = Parameter(name, value)
+    return params
 
 
 class Tape:

@@ -28,11 +28,10 @@ from .encoder import (
     init_encoder_state,
     state_from_arrays,
 )
-from .errors import CheckpointError, ConfigError, ShapeError
-from .nn import AttentionConfig, AttentionParams, Node, Parameter, Tape
+from .errors import ConfigError, ShapeError
+from .nn import AttentionConfig, AttentionParams, Node, Tape
 from .rng import SplitRng
 
-INIT_SCALE = 0.02
 PAD_ID = 0
 BOS_ID = 2
 EOS_ID = 3
@@ -135,42 +134,23 @@ def init_seq2seq_state(encoder_cfg: EncoderConfig, decoder_cfg: DecoderConfig,
                        rng: SplitRng) -> Seq2SeqState:
     """Fresh random model; the encoder is built without the prediction head."""
     enc = init_encoder_state(encoder_cfg, rng.split(0), with_mlm_head=False)
-    dec = {}
-    dec_rng = rng.split(1)
-    for name, shape in decoder_param_shapes(decoder_cfg).items():
-        if name.endswith(".gamma"):
-            value = np.ones(shape)
-        elif len(shape) == 1:
-            value = np.zeros(shape)
-        else:
-            value = dec_rng.normal(size=shape) * INIT_SCALE
-        dec[name] = Parameter(name, value)
+    dec = nn.init_params(decoder_param_shapes(decoder_cfg), rng.split(1))
     return Seq2SeqState(encoder_cfg, enc, decoder_cfg, dec)
 
 
 def seq2seq_state_from_arrays(encoder_cfg: EncoderConfig, decoder_cfg: DecoderConfig,
                               arrays: dict) -> Seq2SeqState:
-    """Rebuild a full model from checkpoint arrays, validating both name sets."""
-    enc_arrays = {
-        name[len("encoder."):]: value
-        for name, value in arrays.items()
-        if name.startswith("encoder.")
-    }
+    """Rebuild a full model from checkpoint arrays, validating both name sets.
+
+    Names under ``encoder.`` belong to the encoder; every other name must be
+    a decoder parameter.
+    """
+    prefix = "encoder."
+    enc_arrays = {n[len(prefix):]: v for n, v in arrays.items() if n.startswith(prefix)}
+    dec_arrays = {n: v for n, v in arrays.items() if not n.startswith(prefix)}
     encoder = state_from_arrays(encoder_cfg, enc_arrays)
-    expected = decoder_param_shapes(decoder_cfg)
-    dec_arrays = {name: value for name, value in arrays.items() if name in expected}
-    stray = sorted(set(arrays) - {f"encoder.{n}" for n in enc_arrays} - set(dec_arrays))
-    missing = sorted(set(expected) - set(dec_arrays))
-    if missing or stray:
-        raise CheckpointError(
-            f"checkpoint does not match decoder config: missing {missing}, extra {stray}"
-        )
-    decoder = {}
-    for name, shape in expected.items():
-        value = np.asarray(dec_arrays[name], dtype=np.float64)
-        if value.shape != shape:
-            raise CheckpointError(f"parameter {name} has shape {value.shape}, expected {shape}")
-        decoder[name] = Parameter(name, value.copy())
+    decoder = nn.params_from_arrays(decoder_param_shapes(decoder_cfg), dec_arrays,
+                                    "decoder config")
     return Seq2SeqState(encoder_cfg, encoder, decoder_cfg, decoder)
 
 

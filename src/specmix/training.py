@@ -332,20 +332,38 @@ def train_seq2seq(state, pairs, steps: int, seed: int, optimizer: AdamW | None =
     return trace
 
 
-def load_corpus_jsonl(path, tokenizer: ByteTokenizer | None = None) -> list:
-    """One {"text": ...} object per line -> list of token-id arrays."""
-    tokenizer = tokenizer if tokenizer is not None else ByteTokenizer()
-    docs = []
+def read_jsonl(path, fields) -> list:
+    """The named string fields of every object in a JSON-lines file, one tuple per line.
+
+    Blank lines are skipped. Invalid JSON, a line that is not an object, and a
+    missing or non-string field raise ConfigError starting with path:line.
+    """
+    rows = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            record = json.loads(line)
-            if "text" not in record:
-                raise ConfigError(f"{path}:{line_no}: missing 'text' field")
-            docs.append(tokenizer.encode(record["text"]))
-    return docs
+            where = f"{path}:{line_no}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{where}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ConfigError(f"{where}: expected a JSON object")
+            for name in fields:
+                if name not in record:
+                    raise ConfigError(f"{where}: missing '{name}' field")
+                if not isinstance(record[name], str):
+                    raise ConfigError(f"{where}: field '{name}' must be a string")
+            rows.append(tuple(record[name] for name in fields))
+    return rows
+
+
+def load_corpus_jsonl(path, tokenizer: ByteTokenizer | None = None) -> list:
+    """One {"text": ...} object per line -> list of token-id arrays."""
+    tokenizer = tokenizer if tokenizer is not None else ByteTokenizer()
+    return [tokenizer.encode(text) for text, in read_jsonl(path, ("text",))]
 
 
 def load_pairs_jsonl(path, tokenizer: ByteTokenizer | None = None,
@@ -356,17 +374,9 @@ def load_pairs_jsonl(path, tokenizer: ByteTokenizer | None = None,
     """
     tokenizer = tokenizer if tokenizer is not None else ByteTokenizer()
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            record = json.loads(line)
-            if "source" not in record or "target" not in record:
-                raise ConfigError(f"{path}:{line_no}: missing 'source'/'target' field")
-            src = tokenizer.encode(record["source"])
-            tgt = tokenizer.encode(record["target"])
-            if append_eos:
-                tgt = np.concatenate((tgt, [tokenizer.eos_id]))
-            pairs.append((src, tgt))
+    for source, target in read_jsonl(path, ("source", "target")):
+        tgt = tokenizer.encode(target)
+        if append_eos:
+            tgt = np.concatenate((tgt, [tokenizer.eos_id]))
+        pairs.append((tokenizer.encode(source), tgt))
     return pairs

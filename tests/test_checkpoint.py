@@ -162,6 +162,13 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="name"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("config", [5, [1, 2], "text", None])
+    def test_non_object_config_rejected(self, tmp_path, config):
+        path = tmp_path / "m.spmx"
+        save_checkpoint(path, config, sample_arrays())
+        with pytest.raises(CheckpointError, match="must be a JSON object"):
+            load_checkpoint(path)
+
 
 def entry_body(name: bytes, shape) -> bytes:
     """Empty config, then one entry header declaring shape; no payload."""

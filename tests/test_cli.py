@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from specmix.checkpoint import load_checkpoint
+from specmix.checkpoint import load_checkpoint, save_checkpoint
 from specmix.cli import _load_seq2seq_checkpoint, main
 from specmix.encoder import count_params, encoder_config_from_dict, state_from_arrays
 from specmix.seq2seq import GenerationConfig, generate
@@ -262,6 +262,15 @@ class TestResume:
         assert main(["resume", "--config", str(cfg)]) == 1
         assert "checksum" in capsys.readouterr().err
 
+    def test_non_object_config_refused(self, workdir, tmp_path, capsys):
+        odd = tmp_path / "odd.spmx"
+        save_checkpoint(odd, 5, load_checkpoint(workdir.checkpoint).arrays)
+        cfg = self.resume_config(workdir, tmp_path, checkpoint_in=str(odd))
+        assert main(["resume", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and "JSON object" in err[0]
+
 
 @pytest.fixture(scope="module")
 def seq2seq_run(tmp_path_factory):
@@ -453,6 +462,54 @@ class TestEvaluate:
         rc = main(["evaluate", "--metric", "relative-performance", "--input", str(path)])
         assert rc == 1
         assert "header" in capsys.readouterr().err
+
+
+# command -> (a valid record of its JSONL input, the field the bad lines break)
+JSONL_INPUTS = {
+    "train-mlm": ({"text": "abc abc"}, "text"),
+    "finetune": ({"source": "ab", "target": "ab"}, "target"),
+    "generate": ({"source": "ab"}, "source"),
+    "evaluate": ({"hyp": "a b", "ref": "a"}, "hyp"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(JSONL_INPUTS))
+@pytest.mark.parametrize("bad", ["invalid-json", "not-an-object", "number-field", "null-field"])
+def test_malformed_jsonl_line_is_one_error_line(command, bad, tmp_path, capsys, request):
+    good, field = JSONL_INPUTS[command]
+    bad_line = {
+        "invalid-json": '{"' + field + '": ',
+        "not-an-object": "5",
+        "number-field": json.dumps(dict(good, **{field: 5})),
+        "null-field": json.dumps(dict(good, **{field: None})),
+    }[bad]
+    data = tmp_path / "input.jsonl"
+    data.write_text(json.dumps(good) + "\n" + bad_line + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    if command == "evaluate":
+        argv = ["evaluate", "--metric", "rouge", "--input", str(data)]
+    else:
+        decoder = {"n_layers": 1, "d_model": 16, "d_ff": 32, "n_heads": 2,
+                   "vocab_size": 261, "max_positions": 16}
+        paths = {
+            "train-mlm": {"corpus": str(data), "checkpoint_out": str(out)},
+            "finetune": {"pairs": str(data), "checkpoint_out": str(out)},
+            "generate": {"sources": str(data), "output": str(out)},
+        }[command]
+        if command == "generate":
+            paths["checkpoint_in"] = str(request.getfixturevalue("seq2seq_run").checkpoint)
+        cfg = write_config(tmp_path / "cfg.json", steps=1, seed=0, paths=paths,
+                           decoder=None if command == "train-mlm" else decoder)
+        argv = [command, "--config", str(cfg)]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert f"{data}:2:" in lines[0]
+    assert not out.exists()  # nothing written, not even a partial generate output
 
 
 class TestBenchCommand:

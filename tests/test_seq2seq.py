@@ -1,5 +1,7 @@
 """Decoder semantics, the cross-attention seam, teacher forcing, and generation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from fdcheck import check_grad
 from specmix import nn, seq2seq
-from specmix.encoder import EncoderConfig, encoder_forward
-from specmix.errors import ConfigError, ShapeError
+from specmix.encoder import EncoderConfig, encoder_forward, init_encoder_state
+from specmix.errors import CheckpointError, ConfigError, ShapeError
 from specmix.nn import Node, Tape
 from specmix.rng import SplitRng
 from specmix.seq2seq import (
@@ -22,6 +24,7 @@ from specmix.seq2seq import (
     generate,
     init_seq2seq_state,
     seq2seq_loss,
+    seq2seq_state_from_arrays,
 )
 from specmix.spectral import MixingKind
 
@@ -86,6 +89,62 @@ class TestSeq2SeqState:
         assert any(n.startswith("encoder.layer0.ff.w1") for n in names)
         assert any(n.startswith("decoder.layer0.cross_attn.wq") for n in names)
         assert "encoder.mlm.bias" not in names  # no prediction head in seq2seq
+
+    def arrays(self):
+        return {name: p.value for name, p in make_state(3).named_params()}
+
+    def test_from_arrays_round_trip(self):
+        rebuilt = seq2seq_state_from_arrays(ENC, DEC, self.arrays())
+        for (name, pa), (_, pb) in zip(make_state(3).named_params(), rebuilt.named_params()):
+            assert pa.value.tobytes() == pb.value.tobytes(), name
+
+    def test_from_arrays_missing_decoder_parameter(self):
+        arrays = self.arrays()
+        del arrays["decoder.layer0.cross_attn.bk"]
+        with pytest.raises(CheckpointError, match="decoder.layer0.cross_attn.bk"):
+            seq2seq_state_from_arrays(ENC, DEC, arrays)
+
+    def test_from_arrays_stray_name(self):
+        arrays = dict(self.arrays(), stray=np.zeros(3))
+        with pytest.raises(CheckpointError, match="stray"):
+            seq2seq_state_from_arrays(ENC, DEC, arrays)
+
+    def test_from_arrays_wrong_shape(self):
+        arrays = dict(self.arrays(), **{"decoder.output_bias": np.zeros(3)})
+        with pytest.raises(CheckpointError, match="decoder.output_bias"):
+            seq2seq_state_from_arrays(ENC, DEC, arrays)
+
+
+def init_digest(named_params) -> str:
+    h = hashlib.sha256()
+    for name, p in named_params:
+        h.update(name.encode("utf-8"))
+        h.update(p.value.tobytes())
+    return h.hexdigest()
+
+
+class TestInitBytes:
+    """Initial parameters are part of the determinism contract: pin their bytes."""
+
+    ENC2 = EncoderConfig(n_layers=2, d_model=8, d_ff=16, vocab_size=12, max_positions=16,
+                         mixing=MixingKind.HARTLEY)
+    DEC2 = DecoderConfig(n_layers=2, d_model=8, d_ff=16, n_heads=2, vocab_size=12,
+                         max_positions=16)
+
+    def test_encoder_with_head(self):
+        state = init_encoder_state(self.ENC2, SplitRng(5), with_mlm_head=True)
+        assert init_digest(state.named_params()) == (
+            "7a1fba68b08c437d77a7676a7cb431c624bfba1e188d2341db7414e239cdd960")
+
+    def test_encoder_without_head(self):
+        state = init_encoder_state(self.ENC2, SplitRng(5), with_mlm_head=False)
+        assert init_digest(state.named_params()) == (
+            "6c6fe2e0dd09fdcae12053f60b8d9b85a678f58a084975edb7493d86908aa8d7")
+
+    def test_seq2seq(self):
+        state = init_seq2seq_state(self.ENC2, self.DEC2, SplitRng(5))
+        assert init_digest(state.named_params()) == (
+            "f43a821dadba68a1669a5c1742681275ca9705493e4bda17b8e83ca2a9b26f12")
 
 
 class TestDecoderForward:

@@ -1,5 +1,7 @@
 """Tokenizer, packing, masking, optimizer, schedules, and both training loops."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from specmix.training import (
     load_pairs_jsonl,
     lr_at,
     pack_corpus,
+    read_jsonl,
     train_mlm,
     train_seq2seq,
     _EpochSampler,
@@ -400,6 +403,15 @@ class TestLoaders:
         path.write_text('{"body": "abc"}\n', encoding="utf-8")
         with pytest.raises(ConfigError, match="text"):
             load_corpus_jsonl(path)
+
+    def test_read_jsonl_names_the_bad_line(self, tmp_path):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text('{"hyp": "a", "ref": "b", "x": 1}\n\n', encoding="utf-8")
+        assert read_jsonl(path, ("hyp", "ref")) == [("a", "b")]
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('{"hyp": 5, "ref": "b"}\n')
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:3: field 'hyp' must be a string")):
+            read_jsonl(path, ("hyp", "ref"))
 
     def test_pairs_append_eos(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
