@@ -13,6 +13,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import os
 import sys
 
@@ -101,7 +102,6 @@ def _run_mlm_training(cfg: RunConfig, enc_cfg, state, corpus_path, out_path, los
         cfg.steps,
         cfg.seed,
         optimizer=cfg.optimizer.build(),
-        grad_accum=cfg.grad_accum,
         policy=cfg.masking,
     )
     save_checkpoint(out_path, encoder_config_to_dict(enc_cfg), _state_arrays(state.named_params()))
@@ -250,14 +250,21 @@ def _read_task_metric_csv(path):
         required = {"task", "candidate", "reference"}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise ConfigError(f"{path}: header must contain task,candidate,reference")
-        rows = [
-            TaskMetricPair(
-                candidate=float(row["candidate"]),
-                reference=float(row["reference"]),
-                task=row["task"],
-            )
-            for row in reader
-        ]
+        rows = []
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            missing = [key for key in ("task", "candidate", "reference") if row[key] is None]
+            if missing:
+                raise ConfigError(f"{where}: missing {', '.join(missing)} cell")
+            values = {}
+            for key in ("candidate", "reference"):
+                try:
+                    values[key] = float(row[key])
+                except ValueError as exc:
+                    raise ConfigError(f"{where}: {key} {row[key]!r} is not a number") from exc
+                if not math.isfinite(values[key]):
+                    raise ConfigError(f"{where}: {key} {row[key]!r} is not finite")
+            rows.append(TaskMetricPair(task=row["task"], **values))
     if not rows:
         raise ConfigError(f"{path}: no metric rows")
     return rows

@@ -6,7 +6,7 @@ fail fast instead of silently falling back to defaults.
     {
       "model":    {"encoder": {...}, "decoder": {...}, "generation": {...}},
       "training": {"steps": int, "seed": int, "batch_size": int,
-                   "grad_accum": int, "patience": int | null,
+                   "patience": int | null,
                    "masking": {...}, "optimizer": {...},
                    "schedule": [[until | null, batch], ...]},
       "paths":    {"corpus": str, "pairs": str, ...}
@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 
 from .encoder import EncoderConfig, encoder_config_from_dict, encoder_config_to_dict
-from .errors import ConfigError
+from .errors import ConfigError, is_int
 from .seq2seq import DecoderConfig, GenerationConfig
 from .training import AdamW, BatchSchedule, MaskingPolicy
 
@@ -49,6 +49,10 @@ class OptimizerSettings:
     beta2: float = 0.999
     eps: float = 1e-8
 
+    def __post_init__(self):
+        if not is_int(self.warmup_steps):
+            raise ConfigError("OptimizerSettings.warmup_steps must be an integer")
+
     def build(self) -> AdamW:
         return AdamW(
             base_lr=self.base_lr,
@@ -71,7 +75,6 @@ class RunConfig:
     steps: int = 0
     seed: int = 0
     batch_size: int = 4
-    grad_accum: int = 1
     patience: int | None = None
     paths: tuple = ()
 
@@ -147,24 +150,23 @@ def parse_run_config(data: dict) -> RunConfig:
     _check_keys(
         training,
         ("masking", "optimizer", "schedule", "steps", "seed",
-         "batch_size", "grad_accum", "patience"),
+         "batch_size", "patience"),
         "training",
     )
     for key in ("steps", "seed"):
         if key not in training:
             raise ConfigError(f"training.{key} is required")
-        if not isinstance(training[key], int) or isinstance(training[key], bool):
+        if not is_int(training[key]):
             raise ConfigError(f"training.{key} must be an integer")
     masking = _build(MaskingPolicy, training.get("masking", {}), "training.masking")
     optimizer = _build(OptimizerSettings, training.get("optimizer", {}), "training.optimizer")
     schedule = _parse_schedule(training.get("schedule", [[None, 4]]), "training.schedule")
     batch_size = training.get("batch_size", 4)
-    grad_accum = training.get("grad_accum", 1)
     patience = training.get("patience", None)
-    if batch_size < 1 or grad_accum < 1:
-        raise ConfigError("training.batch_size and training.grad_accum must be >= 1")
-    if patience is not None and patience < 1:
-        raise ConfigError("training.patience must be >= 1 when set")
+    if not is_int(batch_size) or batch_size < 1:
+        raise ConfigError("training.batch_size must be an integer >= 1")
+    if patience is not None and (not is_int(patience) or patience < 1):
+        raise ConfigError("training.patience must be an integer >= 1 when set")
 
     paths = _section(data, "paths")
     _check_keys(paths, PATH_KEYS, "paths")
@@ -183,7 +185,6 @@ def parse_run_config(data: dict) -> RunConfig:
         steps=training["steps"],
         seed=training["seed"],
         batch_size=batch_size,
-        grad_accum=grad_accum,
         patience=patience,
         paths=ordered,
     )
@@ -204,7 +205,6 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
             "steps": cfg.steps,
             "seed": cfg.seed,
             "batch_size": cfg.batch_size,
-            "grad_accum": cfg.grad_accum,
             "patience": cfg.patience,
         },
         "paths": dict(cfg.paths),

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .errors import CheckpointError, ConfigError, ShapeError
+from .errors import CheckpointError, ConfigError, ShapeError, is_int
 from .nn import Node, Parameter, Tape
 from .rng import SplitRng
 from .spectral import MixingKind, mix2d, mix2d_vjp
@@ -38,8 +38,9 @@ class EncoderConfig:
     def __post_init__(self):
         for field in ("n_layers", "d_model", "d_ff", "vocab_size", "max_positions",
                       "n_token_types"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"EncoderConfig.{field} must be positive")
+            value = getattr(self, field)
+            if not is_int(value) or value < 1:
+                raise ConfigError(f"EncoderConfig.{field} must be a positive integer")
         if self.layer_norm_eps <= 0:
             raise ConfigError("EncoderConfig.layer_norm_eps must be positive")
         if not isinstance(self.mixing, MixingKind):
@@ -122,12 +123,7 @@ def init_encoder_state(cfg: EncoderConfig, rng: SplitRng, with_mlm_head=True) ->
 def mix_tokens(x: Node, kind: MixingKind, tape: Tape | None) -> Node:
     """The parameter-free mixing sub-layer as a taped op over [L, H] activations."""
     out = Node(mix2d(x.value, kind))
-    if tape is not None:
-        def backward():
-            if out.grad is None:
-                return
-            x.add_grad(mix2d_vjp(kind, x.value, out.grad))
-        tape.record(backward)
+    nn._record(tape, out, lambda g: x.add_grad(mix2d_vjp(kind, x.value, g)))
     return out
 
 

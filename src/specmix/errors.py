@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of every config validator."""
+
+import numbers
+
+
+def is_int(value) -> bool:
+    """True for an integer that is not a bool (JSON true and false parse as bools)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class ShapeError(ValueError):

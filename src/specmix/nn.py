@@ -2,9 +2,10 @@
 
 There is no general expression-graph autodiff here: each operation computes
 its forward value, then (when a :class:`Tape` is supplied) records a closure
-that propagates the output cotangent to its inputs. ``Tape.backward`` walks
-the recorded closures in reverse. Ops called with ``tape=None`` run forward
-only, which is the inference path.
+``backward(g)`` that receives the output cotangent ``g`` and propagates it to
+the op's inputs. ``Tape.backward`` walks the recorded closures in reverse and
+skips every closure whose output no cotangent reached. Ops called with
+``tape=None`` run forward only, which is the inference path.
 
 Values are float64 ndarrays wrapped in :class:`Node`; trainable tensors are
 :class:`Parameter` nodes with a persistent gradient buffer that accumulates
@@ -114,17 +115,25 @@ class Tape:
             fn()
 
 
+def _record(tape: Tape | None, out: Node, backward) -> None:
+    """Record backward(out.grad) on tape, skipped when no cotangent reached out.
+
+    Private and called from each op's own frame, so a tracer that wraps the
+    public ops attributes every closure to the op that recorded it.
+    """
+    if tape is not None:
+        tape.record(lambda: out.grad is None or backward(out.grad))
+
+
 def add(a: Node, b: Node, tape: Tape | None) -> Node:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add shapes differ: {a.value.shape} vs {b.value.shape}")
     out = Node(a.value + b.value)
-    if tape is not None:
-        def backward():
-            if out.grad is None:
-                return
-            a.add_grad(out.grad)
-            b.add_grad(out.grad)
-        tape.record(backward)
+
+    def backward(g):
+        a.add_grad(g)
+        b.add_grad(g)
+    _record(tape, out, backward)
     return out
 
 
@@ -139,17 +148,14 @@ def linear(x: Node, w: Node, b: Node, tape: Tape | None) -> Node:
             f"linear: bias shape {b.value.shape} does not match weight shape {w.value.shape}"
         )
     out = Node(x.value @ w.value + b.value)
-    if tape is not None:
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            lead = x.value.reshape(-1, x.value.shape[-1])
-            gflat = g.reshape(-1, g.shape[-1])
-            w.add_grad(lead.T @ gflat)
-            b.add_grad(gflat.sum(axis=0))
-            x.add_grad((g @ w.value.T).reshape(x.value.shape))
-        tape.record(backward)
+
+    def backward(g):
+        lead = x.value.reshape(-1, x.value.shape[-1])
+        gflat = g.reshape(-1, g.shape[-1])
+        w.add_grad(lead.T @ gflat)
+        b.add_grad(gflat.sum(axis=0))
+        x.add_grad((g @ w.value.T).reshape(x.value.shape))
+    _record(tape, out, backward)
     return out
 
 
@@ -162,21 +168,18 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float, tape: Tape | None) 
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv_std
     out = Node(xhat * gamma.value + beta.value)
-    if tape is not None:
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            lead = (-1, v.shape[-1])
-            gf = g.reshape(lead)
-            xh = xhat.reshape(lead)
-            gamma.add_grad((gf * xh).sum(axis=0))
-            beta.add_grad(gf.sum(axis=0))
-            d = g * gamma.value
-            dmean = d.mean(axis=-1, keepdims=True)
-            dproj = (d * xhat).mean(axis=-1, keepdims=True)
-            x.add_grad((d - dmean - xhat * dproj) * inv_std)
-        tape.record(backward)
+
+    def backward(g):
+        lead = (-1, v.shape[-1])
+        gf = g.reshape(lead)
+        xh = xhat.reshape(lead)
+        gamma.add_grad((gf * xh).sum(axis=0))
+        beta.add_grad(gf.sum(axis=0))
+        d = g * gamma.value
+        dmean = d.mean(axis=-1, keepdims=True)
+        dproj = (d * xhat).mean(axis=-1, keepdims=True)
+        x.add_grad((d - dmean - xhat * dproj) * inv_std)
+    _record(tape, out, backward)
     return out
 
 
@@ -185,14 +188,11 @@ def gelu(x: Node, tape: Tape | None) -> Node:
     v = x.value
     cdf = 0.5 * (1.0 + erf(v * _INV_SQRT2))
     out = Node(v * cdf)
-    if tape is not None:
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            pdf = _INV_SQRT_2PI * np.exp(-0.5 * v * v)
-            x.add_grad(g * (cdf + v * pdf))
-        tape.record(backward)
+
+    def backward(g):
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * v * v)
+        x.add_grad(g * (cdf + v * pdf))
+    _record(tape, out, backward)
     return out
 
 
@@ -212,13 +212,10 @@ def softmax(x: Node, tape: Tape | None) -> Node:
     """Max-subtracted softmax along the last axis."""
     y = _softmax_rows(x.value)
     out = Node(y)
-    if tape is not None:
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            x.add_grad((g - (g * y).sum(axis=-1, keepdims=True)) * y)
-        tape.record(backward)
+
+    def backward(g):
+        x.add_grad((g - (g * y).sum(axis=-1, keepdims=True)) * y)
+    _record(tape, out, backward)
     return out
 
 
@@ -231,15 +228,12 @@ def embedding_lookup(ids, table: Node, tape: Tape | None) -> Node:
         offender = ids[bad].ravel()[0]
         raise ShapeError(f"embedding id {offender} out of range [0, {vocab})")
     out = Node(table.value[ids])
-    if tape is not None:
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            if table.grad is None:
-                table.grad = np.zeros_like(table.value)
-            np.add.at(table.grad, ids, g)
-        tape.record(backward)
+
+    def backward(g):
+        if table.grad is None:
+            table.grad = np.zeros_like(table.value)
+        np.add.at(table.grad, ids, g)
+    _record(tape, out, backward)
     return out
 
 
@@ -250,15 +244,12 @@ def tied_logits(x: Node, emb: Node, bias: Node, tape: Tape | None) -> Node:
             f"tied_logits: input shape {x.value.shape} vs embedding shape {emb.value.shape}"
         )
     out = Node(x.value @ emb.value.T + bias.value)
-    if tape is not None:
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            emb.add_grad(g.T @ x.value)
-            bias.add_grad(g.sum(axis=0))
-            x.add_grad(g @ emb.value)
-        tape.record(backward)
+
+    def backward(g):
+        emb.add_grad(g.T @ x.value)
+        bias.add_grad(g.sum(axis=0))
+        x.add_grad(g @ emb.value)
+    _record(tape, out, backward)
     return out
 
 
@@ -285,16 +276,13 @@ def masked_cross_entropy(logits: Node, labels, tape: Tape | None) -> Node:
     rows = np.nonzero(flat_active)[0]
     loss = float(-flat_logp[rows, flat_labels[rows]].sum() / n_active)
     out = Node(loss)
-    if tape is not None:
-        def backward():
-            g = out.grad
-            if g is None:
-                return
-            d = np.exp(flat_logp)
-            d[rows, flat_labels[rows]] -= 1.0
-            d[~flat_active] = 0.0
-            logits.add_grad((float(g) / n_active) * d.reshape(v.shape))
-        tape.record(backward)
+
+    def backward(g):
+        d = np.exp(flat_logp)
+        d[rows, flat_labels[rows]] -= 1.0
+        d[~flat_active] = 0.0
+        logits.add_grad((float(g) / n_active) * d.reshape(v.shape))
+    _record(tape, out, backward)
     return out
 
 
@@ -400,24 +388,21 @@ def multi_head_attention(
 
     weights = np.empty((n_heads, l_q, l_k)) if tape is not None else None
     concat = Node(_attend(qh, kh, vh, bias, weights).reshape(l_q, d))
-    if tape is not None:
-        def backward():
-            g = concat.grad
-            if g is None:
-                return
-            gh = g.reshape(l_q, n_heads, dh)
-            dq = np.empty_like(qh)
-            dk = np.empty_like(kh)
-            dv = np.empty_like(vh)
-            for h in range(n_heads):
-                a = weights[h]
-                da = gh[:, h, :] @ vh[:, h, :].T
-                dv[:, h, :] = a.T @ gh[:, h, :]
-                ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
-                dq[:, h, :] = ds @ kh[:, h, :]
-                dk[:, h, :] = ds.T @ qh[:, h, :]
-            qp.add_grad(dq.reshape(l_q, d))
-            kp.add_grad(dk.reshape(l_k, d))
-            vp.add_grad(dv.reshape(l_k, d))
-        tape.record(backward)
+
+    def backward(g):
+        gh = g.reshape(l_q, n_heads, dh)
+        dq = np.empty_like(qh)
+        dk = np.empty_like(kh)
+        dv = np.empty_like(vh)
+        for h in range(n_heads):
+            a = weights[h]
+            da = gh[:, h, :] @ vh[:, h, :].T
+            dv[:, h, :] = a.T @ gh[:, h, :]
+            ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
+            dq[:, h, :] = ds @ kh[:, h, :]
+            dk[:, h, :] = ds.T @ qh[:, h, :]
+        qp.add_grad(dq.reshape(l_q, d))
+        kp.add_grad(dk.reshape(l_k, d))
+        vp.add_grad(dv.reshape(l_k, d))
+    _record(tape, concat, backward)
     return linear(concat, params.wo, params.bo, tape)

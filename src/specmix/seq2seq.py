@@ -28,7 +28,7 @@ from .encoder import (
     init_encoder_state,
     state_from_arrays,
 )
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, is_int
 from .nn import AttentionConfig, AttentionParams, Node, Tape
 from .rng import SplitRng
 
@@ -50,8 +50,9 @@ class DecoderConfig:
     def __post_init__(self):
         for field in ("n_layers", "d_model", "d_ff", "n_heads", "vocab_size",
                       "max_positions"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"DecoderConfig.{field} must be positive")
+            value = getattr(self, field)
+            if not is_int(value) or value < 1:
+                raise ConfigError(f"DecoderConfig.{field} must be a positive integer")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"DecoderConfig.d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -68,15 +69,16 @@ class GenerationConfig:
     beam_size: int = 1
     eos_id: int = EOS_ID
     bos_id: int = BOS_ID
-    pad_id: int = PAD_ID
 
     def __post_init__(self):
-        if self.max_target_len < 1:
-            raise ConfigError("GenerationConfig.max_target_len must be >= 1")
-        if self.beam_size < 1:
-            raise ConfigError("GenerationConfig.beam_size must be >= 1")
-        if self.no_repeat_ngram < 0:
-            raise ConfigError("GenerationConfig.no_repeat_ngram must be >= 0")
+        for field, low in (("max_input_len", 1), ("max_target_len", 1), ("beam_size", 1),
+                           ("no_repeat_ngram", 0)):
+            value = getattr(self, field)
+            if not is_int(value) or value < low:
+                raise ConfigError(f"GenerationConfig.{field} must be an integer >= {low}")
+        for field in ("eos_id", "bos_id"):
+            if not is_int(getattr(self, field)):
+                raise ConfigError(f"GenerationConfig.{field} must be an integer")
 
 
 def decoder_param_shapes(cfg: DecoderConfig) -> dict:
@@ -217,14 +219,13 @@ def decoder_forward(cfg: DecoderConfig, decoder: dict, target_ids, encoder_out: 
     return _decoder_stack(cfg, decoder, target_ids, np.arange(L), attend_self, attend_cross, tape)
 
 
-def seq2seq_loss(state: Seq2SeqState, source_ids, target_ids, tape: Tape | None = None,
-                 bos_id: int = BOS_ID, pad_id: int = PAD_ID) -> Node:
+def seq2seq_loss(state: Seq2SeqState, source_ids, target_ids, tape: Tape | None = None) -> Node:
     """Teacher-forced mean cross-entropy; pad positions in the target are ignored."""
     target_ids = np.asarray(target_ids, dtype=np.int64)
     if target_ids.size == 0:
         raise ShapeError("seq2seq_loss: empty target")
-    decoder_input = np.concatenate(([bos_id], target_ids[:-1]))
-    labels = np.where(target_ids == pad_id, nn.IGNORE_LABEL, target_ids)
+    decoder_input = np.concatenate(([BOS_ID], target_ids[:-1]))
+    labels = np.where(target_ids == PAD_ID, nn.IGNORE_LABEL, target_ids)
     hidden = encoder_forward(state.encoder_cfg, state.encoder, source_ids, tape=tape)
     logits = decoder_forward(state.decoder_cfg, state.decoder, decoder_input, hidden, tape)
     return nn.masked_cross_entropy(logits, labels, tape)

@@ -16,18 +16,18 @@ import numpy as np
 
 from . import nn
 from .encoder import encoder_forward, mlm_logits
-from .errors import ConfigError, TrainingError
+from .errors import ConfigError, TrainingError, is_int
 from .rng import SplitRng
-from .seq2seq import seq2seq_loss
+from .seq2seq import BOS_ID, EOS_ID, PAD_ID, seq2seq_loss
 
 
 class ByteTokenizer:
     """Reversible byte-level ids: five specials, then byte b at id b + 5."""
 
-    pad_id = 0
+    pad_id = PAD_ID
     unk_id = 1
-    bos_id = 2
-    eos_id = 3
+    bos_id = BOS_ID
+    eos_id = EOS_ID
     mask_id = 4
     n_specials = 5
     vocab_size = 261
@@ -85,9 +85,7 @@ class MaskingPolicy:
 
 
 def apply_mlm_mask(slice_ids, policy: MaskingPolicy, rng,
-                   vocab_size: int = ByteTokenizer.vocab_size,
-                   n_specials: int = ByteTokenizer.n_specials,
-                   mask_id: int = ByteTokenizer.mask_id):
+                   vocab_size: int = ByteTokenizer.vocab_size):
     """Select positions at mask_prob; corrupt inputs, emit labels, ignore the rest.
 
     All three random vectors are drawn unconditionally and at full length so
@@ -98,14 +96,14 @@ def apply_mlm_mask(slice_ids, policy: MaskingPolicy, rng,
     L = ids.shape[0]
     u_select = rng.random(L)
     u_branch = rng.random(L)
-    random_ids = rng.integers(n_specials, vocab_size, size=L)
+    random_ids = rng.integers(ByteTokenizer.n_specials, vocab_size, size=L)
 
-    selected = (u_select < policy.mask_prob) & (ids >= n_specials)
+    selected = (u_select < policy.mask_prob) & (ids >= ByteTokenizer.n_specials)
     labels = np.where(selected, ids, nn.IGNORE_LABEL)
     inputs = ids.copy()
     to_mask = selected & (u_branch < policy.mask_token_frac)
     to_random = selected & ~to_mask & (u_branch < policy.mask_token_frac + policy.random_frac)
-    inputs[to_mask] = mask_id
+    inputs[to_mask] = ByteTokenizer.mask_id
     inputs[to_random] = random_ids[to_random]
     return inputs, labels
 
@@ -168,14 +166,14 @@ class BatchSchedule:
             raise ConfigError("BatchSchedule needs at least one phase")
         last = 0
         for i, (until, batch) in enumerate(phases):
-            if batch < 1:
-                raise ConfigError("batch_size must be >= 1")
+            if not is_int(batch) or batch < 1:
+                raise ConfigError("batch_size must be an integer >= 1")
             if until is None:
                 if i != len(phases) - 1:
                     raise ConfigError("open-ended phase must come last")
             else:
-                if until <= last:
-                    raise ConfigError("until_step values must be strictly increasing")
+                if not is_int(until) or until <= last:
+                    raise ConfigError("until_step values must be strictly increasing integers")
                 last = until
         self.phases = list(phases)
 
@@ -217,13 +215,11 @@ class _EpochSampler:
 
 
 def train_mlm(cfg, state, dataset: PackedDataset, schedule: BatchSchedule, steps: int,
-              seed: int, optimizer: AdamW | None = None, grad_accum: int = 1,
+              seed: int, optimizer: AdamW | None = None,
               policy: MaskingPolicy | None = None) -> list:
     """Masked-token pretraining loop; returns one TraceRow per optimizer step."""
     if len(dataset) == 0:
         raise TrainingError("empty dataset")
-    if grad_accum < 1:
-        raise ConfigError("grad_accum must be >= 1")
     optimizer = optimizer if optimizer is not None else AdamW()
     policy = policy if policy is not None else MaskingPolicy()
     root = SplitRng(seed)
@@ -233,8 +229,7 @@ def train_mlm(cfg, state, dataset: PackedDataset, schedule: BatchSchedule, steps
     trace = []
     example_counter = 0
     for step in range(steps):
-        micro = schedule.batch_at(step)
-        total = micro * grad_accum
+        total = schedule.batch_at(step)
         losses = []
         for idx in sampler.take(total):
             inputs, labels = apply_mlm_mask(
@@ -335,16 +330,21 @@ def train_seq2seq(state, pairs, steps: int, seed: int, optimizer: AdamW | None =
 def read_jsonl(path, fields) -> list:
     """The named string fields of every object in a JSON-lines file, one tuple per line.
 
-    Blank lines are skipped. Invalid JSON, a line that is not an object, and a
-    missing or non-string field raise ConfigError starting with path:line.
+    Blank lines are skipped. A line that is not UTF-8, invalid JSON, a line
+    that is not an object, and a missing or non-string field raise ConfigError
+    starting with path:line.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+    with open(path, "rb") as fh:
+        # bytes.splitlines breaks lines where text mode would: \n, \r and \r\n
+        for line_no, raw in enumerate(fh.read().splitlines(), start=1):
+            where = f"{path}:{line_no}"
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise ConfigError(f"{where}: not UTF-8: {exc}") from exc
             if not line:
                 continue
-            where = f"{path}:{line_no}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:

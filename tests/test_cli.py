@@ -199,6 +199,54 @@ class TestTrainMlm:
         assert "learning_rate" in capsys.readouterr().err
 
 
+# config key -> a mistyped value, and what the one error line must name
+MISTYPED_CONFIG = [
+    ("training.batch_size", "4", "training.batch_size"),
+    ("training.batch_size", None, "training.batch_size"),
+    ("training.batch_size", 2.5, "training.batch_size"),
+    ("training.batch_size", True, "training.batch_size"),
+    ("training.schedule", [[None, "4"]], "batch_size"),
+    ("training.schedule", [[2.5, 4], [None, 4]], "until_step"),
+    ("training.patience", 1.5, "training.patience"),
+    ("training.optimizer.warmup_steps", "5", "OptimizerSettings.warmup_steps"),
+    ("model.encoder.n_layers", 1.5, "EncoderConfig.n_layers"),
+    ("model.encoder.d_model", 8.0, "EncoderConfig.d_model"),
+    ("model.encoder.max_positions", True, "EncoderConfig.max_positions"),
+    ("model.decoder.n_heads", "2", "DecoderConfig.n_heads"),
+    ("model.generation.beam_size", 2.5, "GenerationConfig.beam_size"),
+]
+
+
+@pytest.mark.parametrize("key, value, names", MISTYPED_CONFIG)
+def test_mistyped_config_integer_is_one_error_line(key, value, names, tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, [{"text": "abc abc abc"}])
+    cfg = {
+        "model": {
+            "encoder": dict(ENCODER_DICT),
+            "decoder": {"n_layers": 1, "d_model": 16, "d_ff": 32, "n_heads": 2,
+                        "vocab_size": 261, "max_positions": 16},
+            "generation": {"beam_size": 2},
+        },
+        "training": {"steps": 1, "seed": 0, "schedule": [[None, 2]], "optimizer": {}},
+        "paths": {"corpus": str(corpus), "checkpoint_out": str(tmp_path / "out.spmx")},
+    }
+    *parents, leaf = key.split(".")
+    section = cfg
+    for name in parents:
+        section = section[name]
+    section[leaf] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["train-mlm", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert names in lines[0]
+    assert not (tmp_path / "out.spmx").exists()
+
+
 class TestResume:
     def resume_config(self, workdir, where, steps=10, **extra_paths):
         return write_config(
@@ -463,6 +511,21 @@ class TestEvaluate:
         assert rc == 1
         assert "header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad_row, message", [
+        ("t1,1", "missing reference cell"),
+        ("t1", "missing candidate, reference cell"),
+        ("t1,x,1", "candidate 'x' is not a number"),
+        ("t1,1,", "reference '' is not a number"),
+        ("t1,inf,1", "candidate 'inf' is not finite"),
+        ("t1,1,nan", "reference 'nan' is not finite"),
+    ])
+    def test_bad_csv_cell_names_file_and_line(self, bad_row, message, tmp_path, capsys):
+        path = tmp_path / "tasks.csv"
+        path.write_text(f"task,candidate,reference\nt0,1,2\n{bad_row}\n")
+        rc = main(["evaluate", "--metric", "relative-performance", "--input", str(path)])
+        assert rc == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}:3: {message}"]
+
 
 # command -> (a valid record of its JSONL input, the field the bad lines break)
 JSONL_INPUTS = {
@@ -474,17 +537,19 @@ JSONL_INPUTS = {
 
 
 @pytest.mark.parametrize("command", sorted(JSONL_INPUTS))
-@pytest.mark.parametrize("bad", ["invalid-json", "not-an-object", "number-field", "null-field"])
+@pytest.mark.parametrize("bad", ["invalid-json", "not-an-object", "number-field", "null-field",
+                                 "not-utf8"])
 def test_malformed_jsonl_line_is_one_error_line(command, bad, tmp_path, capsys, request):
     good, field = JSONL_INPUTS[command]
     bad_line = {
-        "invalid-json": '{"' + field + '": ',
-        "not-an-object": "5",
-        "number-field": json.dumps(dict(good, **{field: 5})),
-        "null-field": json.dumps(dict(good, **{field: None})),
+        "invalid-json": ('{"' + field + '": ').encode(),
+        "not-an-object": b"5",
+        "number-field": json.dumps(dict(good, **{field: 5})).encode(),
+        "null-field": json.dumps(dict(good, **{field: None})).encode(),
+        "not-utf8": b"\xff\xfe",
     }[bad]
     data = tmp_path / "input.jsonl"
-    data.write_text(json.dumps(good) + "\n" + bad_line + "\n", encoding="utf-8")
+    data.write_bytes(json.dumps(good).encode() + b"\n" + bad_line + b"\n")
     out = tmp_path / "out"
     if command == "evaluate":
         argv = ["evaluate", "--metric", "rouge", "--input", str(data)]

@@ -1,6 +1,8 @@
 """Run-config parsing: strict schema, defaults, lossless round trips."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -51,7 +53,6 @@ def full_dict():
             "steps": 20,
             "seed": 3,
             "batch_size": 2,
-            "grad_accum": 2,
             "patience": 3,
             "masking": {"mask_prob": 0.2},
             "optimizer": {"base_lr": 1e-3, "warmup_steps": 5},
@@ -73,7 +74,7 @@ class TestParsing:
         assert cfg.optimizer == OptimizerSettings()
         assert cfg.schedule == ((None, 4),)
         assert (cfg.steps, cfg.seed) == (10, 7)
-        assert (cfg.batch_size, cfg.grad_accum, cfg.patience) == (4, 1, None)
+        assert (cfg.batch_size, cfg.patience) == (4, None)
         assert cfg.path("corpus") is None
 
     def test_full_config(self):
@@ -144,6 +145,14 @@ class TestParsing:
         bad["training"]["patience"] = 0
         with pytest.raises(ConfigError, match="patience"):
             parse_run_config(bad)
+
+
+def test_readme_run_config_parses():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    cfg = parse_run_config(json.loads(blocks[0]))
+    assert cfg.decoder is not None and cfg.generation is not None
 
 
 class TestRoundTrip:

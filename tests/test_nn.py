@@ -47,6 +47,24 @@ class TestTapeAndNodes:
         p.zero_grad()
         assert not p.grad.any()
 
+    def test_op_reached_by_no_cotangent_is_skipped(self):
+        # Both ops read x, but only the first feeds the output. The second's
+        # backward must not run: its plain-Node weight never allocates a
+        # gradient buffer, and its Parameter bias keeps a zero gradient.
+        rng = np.random.default_rng(0)
+        x = Node(rng.normal(size=(3, 4)))
+        w1, b1 = Parameter("w1", rng.normal(size=(4, 2))), Parameter("b1", np.zeros(2))
+        w2, b2 = Node(rng.normal(size=(4, 5))), Parameter("b2", np.zeros(5))
+        tape = Tape()
+        used = nn.linear(x, w1, b1, tape)
+        unused = nn.linear(x, w2, b2, tape)
+        proj = rng.normal(size=(3, 2))
+        tape.backward(used, seed=proj)
+        assert unused.grad is None and w2.grad is None
+        assert not b2.grad.any()
+        assert np.array_equal(x.grad, proj @ w1.value.T)
+        assert np.array_equal(b1.grad, proj.sum(axis=0))
+
 
 class TestLinear:
     def test_identity(self):

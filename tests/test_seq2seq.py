@@ -70,6 +70,9 @@ class TestConfigs:
             GenerationConfig(beam_size=0)
         with pytest.raises(ConfigError):
             GenerationConfig(no_repeat_ngram=-1)
+        for length in (0, -1):  # -1 used to drop the source's last token silently
+            with pytest.raises(ConfigError, match="max_input_len"):
+                GenerationConfig(max_input_len=length)
 
     def test_width_mismatch_rejected(self):
         wide = DecoderConfig(n_layers=1, d_model=8, d_ff=8, n_heads=2, vocab_size=7,

@@ -275,16 +275,6 @@ class TestTrainMlm:
         _, trace = micro_train(seed=0, steps=6, schedule=BatchSchedule([(3, 2), (None, 4)]))
         assert [r.batch_size for r in trace] == [2, 2, 2, 4, 4, 4]
 
-    def test_grad_accum_matches_larger_batch(self):
-        # batch 1 x accum 2 consumes the same examples in the same order with
-        # the same 1/total gradient scaling as batch 2 x accum 1.
-        sa, ta = micro_train(seed=5, steps=8, schedule=BatchSchedule([(None, 2)]))
-        sb, tb = micro_train(seed=5, steps=8, schedule=BatchSchedule([(None, 1)]),
-                             grad_accum=2)
-        assert [r.loss for r in ta] == [r.loss for r in tb]
-        for (name, pa), (_, pb) in zip(sa.named_params(), sb.named_params()):
-            assert pa.value.tobytes() == pb.value.tobytes(), name
-
     def test_empty_dataset_rejected(self):
         state = init_encoder_state(MICRO, SplitRng(0))
         with pytest.raises(TrainingError):
