@@ -12,7 +12,6 @@ origin is the place to read for semantics.
 from .bench import BenchResult, bench_mixing_vs_attention, results_csv, results_markdown
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from .config import (
-    OptimizerSettings,
     RunConfig,
     load_run_config,
     parse_run_config,
@@ -100,7 +99,6 @@ __all__ = [
     "MaskingPolicy",
     "MixingKind",
     "Node",
-    "OptimizerSettings",
     "PackedDataset",
     "Parameter",
     "RougeScore",

@@ -59,6 +59,8 @@ def _require_config(args) -> RunConfig:
         raise ConfigError(f"{args.command} requires --config")
     cfg = load_run_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.mixing is not None:
         encoder = dataclasses.replace(cfg.encoder, mixing=MixingKind.from_label(args.mixing))
@@ -75,8 +77,11 @@ def _require_input(cfg: RunConfig, key: str, command: str) -> str:
     return path
 
 
-def _out_path(cfg: RunConfig, args, key: str):
-    return args.out if args.out is not None else cfg.path(key)
+def _out_path(cfg: RunConfig, args, key: str) -> str:
+    out = args.out if args.out is not None else cfg.path(key)
+    if out is None:
+        raise ConfigError(f"{args.command} needs --out or paths.{key}")
+    return out
 
 
 def _write_trace_csv(path, trace) -> None:
@@ -87,11 +92,21 @@ def _write_trace_csv(path, trace) -> None:
             writer.writerow([row.step, row.loss, row.batch_size, row.lr])
 
 
-def _state_arrays(named_params) -> dict:
-    return {name: p.value for name, p in named_params}
+def _finish_training(cfg: RunConfig, out_path, config_blob: dict, state, trace,
+                     verb: str) -> int:
+    """Save the checkpoint and the loss CSV, and report the run."""
+    save_checkpoint(out_path, config_blob, {name: p.value for name, p in state.named_params()})
+    loss_csv = cfg.path("loss_csv")
+    if loss_csv is not None:
+        _write_trace_csv(loss_csv, trace)
+        print(f"wrote loss trace {loss_csv}")
+    final = trace[-1].loss if trace else float("nan")
+    print(f"{verb} {len(trace)} steps, final loss {final:.4f}")
+    print(f"wrote checkpoint {out_path}")
+    return 0
 
 
-def _run_mlm_training(cfg: RunConfig, enc_cfg, state, corpus_path, out_path, loss_csv):
+def _run_mlm_training(cfg: RunConfig, enc_cfg, state, corpus_path, out_path):
     docs = load_corpus_jsonl(corpus_path)
     dataset = pack_corpus(docs, enc_cfg.max_positions)
     trace = train_mlm(
@@ -101,27 +116,19 @@ def _run_mlm_training(cfg: RunConfig, enc_cfg, state, corpus_path, out_path, los
         cfg.batch_schedule(),
         cfg.steps,
         cfg.seed,
-        optimizer=cfg.optimizer.build(),
+        optimizer=cfg.build_optimizer(),
         policy=cfg.masking,
     )
-    save_checkpoint(out_path, encoder_config_to_dict(enc_cfg), _state_arrays(state.named_params()))
-    if loss_csv is not None:
-        _write_trace_csv(loss_csv, trace)
-        print(f"wrote loss trace {loss_csv}")
-    final = trace[-1].loss if trace else float("nan")
-    print(f"trained {len(trace)} steps, final loss {final:.4f}")
-    print(f"wrote checkpoint {out_path}")
-    return 0
+    return _finish_training(cfg, out_path, encoder_config_to_dict(enc_cfg), state, trace,
+                            "trained")
 
 
 def cmd_train_mlm(args) -> int:
     cfg = _require_config(args)
     corpus = _require_input(cfg, "corpus", "train-mlm")
     out = _out_path(cfg, args, "checkpoint_out")
-    if out is None:
-        raise ConfigError("train-mlm needs --out or paths.checkpoint_out")
     state = init_encoder_state(cfg.encoder, SplitRng(cfg.seed), with_mlm_head=True)
-    return _run_mlm_training(cfg, cfg.encoder, state, corpus, out, cfg.path("loss_csv"))
+    return _run_mlm_training(cfg, cfg.encoder, state, corpus, out)
 
 
 def cmd_resume(args) -> int:
@@ -130,8 +137,6 @@ def cmd_resume(args) -> int:
     ckpt_path = _require_input(cfg, "checkpoint_in", "resume")
     corpus = _require_input(cfg, "corpus", "resume")
     out = _out_path(cfg, args, "checkpoint_out")
-    if out is None:
-        raise ConfigError("resume needs --out or paths.checkpoint_out")
     ckpt = load_checkpoint(ckpt_path)
     if "encoder" in ckpt.config:
         raise CheckpointError(f"{ckpt_path} is a sequence-to-sequence checkpoint")
@@ -142,7 +147,7 @@ def cmd_resume(args) -> int:
     else:
         state = state_from_arrays(enc_cfg, ckpt.arrays)
     print(f"resumed {ckpt_path} (optimizer moments reset)")
-    return _run_mlm_training(cfg, enc_cfg, state, corpus, out, cfg.path("loss_csv"))
+    return _run_mlm_training(cfg, enc_cfg, state, corpus, out)
 
 
 def _encoder_weights_from_mlm_checkpoint(enc_cfg, ckpt, ckpt_path):
@@ -167,8 +172,6 @@ def cmd_finetune(args) -> int:
         raise ConfigError("finetune requires model.decoder in the config")
     pairs_path = _require_input(cfg, "pairs", "finetune")
     out = _out_path(cfg, args, "checkpoint_out")
-    if out is None:
-        raise ConfigError("finetune needs --out or paths.checkpoint_out")
     state = init_seq2seq_state(cfg.encoder, cfg.decoder, SplitRng(cfg.seed))
     if cfg.path("checkpoint_in") is not None:
         ckpt_path = _require_input(cfg, "checkpoint_in", "finetune")
@@ -187,7 +190,7 @@ def cmd_finetune(args) -> int:
         pairs,
         cfg.steps,
         cfg.seed,
-        optimizer=cfg.optimizer.build(),
+        optimizer=cfg.build_optimizer(),
         batch_size=cfg.batch_size,
         val_pairs=val_pairs,
         patience=cfg.patience,
@@ -196,14 +199,7 @@ def cmd_finetune(args) -> int:
         "encoder": encoder_config_to_dict(cfg.encoder),
         "decoder": dataclasses.asdict(cfg.decoder),
     }
-    save_checkpoint(out, config_blob, _state_arrays(state.named_params()))
-    if cfg.path("loss_csv") is not None:
-        _write_trace_csv(cfg.path("loss_csv"), trace)
-        print(f"wrote loss trace {cfg.path('loss_csv')}")
-    final = trace[-1].loss if trace else float("nan")
-    print(f"fine-tuned {len(trace)} steps, final loss {final:.4f}")
-    print(f"wrote checkpoint {out}")
-    return 0
+    return _finish_training(cfg, out, config_blob, state, trace, "fine-tuned")
 
 
 def _load_seq2seq_checkpoint(path):
@@ -223,22 +219,25 @@ def cmd_generate(args) -> int:
     ckpt_path = _require_input(cfg, "checkpoint_in", "generate")
     sources_path = _require_input(cfg, "sources", "generate")
     out = _out_path(cfg, args, "output")
-    if out is None:
-        raise ConfigError("generate needs --out or paths.output")
     state = _load_seq2seq_checkpoint(ckpt_path)
     gen = cfg.generation if cfg.generation is not None else GenerationConfig()
     tokenizer = ByteTokenizer()
-    sources = read_jsonl(sources_path, ("source",))
-    with open(out, "w", encoding="utf-8") as out_fh:
-        for source, in sources:
+    # Decode everything first, so a source that fails leaves no partial output.
+    lines = []
+    for line_no, source in read_jsonl(sources_path, ("source",)):
+        try:
             ids = generate(state, tokenizer.encode(source), gen)
-            out_fh.write(json.dumps({"source": source, "generated": tokenizer.decode(ids)}) + "\n")
-    print(f"generated {len(sources)} sequences -> {out}")
+        except ShapeError as exc:
+            raise ShapeError(f"{sources_path}:{line_no}: {exc}") from exc
+        lines.append(json.dumps({"source": source, "generated": tokenizer.decode(ids)}) + "\n")
+    with open(out, "w", encoding="utf-8") as out_fh:
+        out_fh.writelines(lines)
+    print(f"generated {len(lines)} sequences -> {out}")
     return 0
 
 
 def _read_rouge_pairs(path):
-    pairs = read_jsonl(path, ("hyp", "ref"))
+    pairs = [(hyp, ref) for _, hyp, ref in read_jsonl(path, ("hyp", "ref"))]
     if not pairs:
         raise ConfigError(f"{path}: no evaluation pairs")
     return pairs

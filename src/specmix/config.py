@@ -5,7 +5,7 @@ fail fast instead of silently falling back to defaults.
 
     {
       "model":    {"encoder": {...}, "decoder": {...}, "generation": {...}},
-      "training": {"steps": int, "seed": int, "batch_size": int,
+      "training": {"steps": int >= 0, "seed": int >= 0, "batch_size": int,
                    "patience": int | null,
                    "masking": {...}, "optimizer": {...},
                    "schedule": [[until | null, batch], ...]},
@@ -13,13 +13,16 @@ fail fast instead of silently falling back to defaults.
     }
 
 Only "model.encoder", "training.steps" and "training.seed" are required;
-everything else has defaults. Parsing and serialization are inverses, so a
+everything else has defaults. The keys of "training.optimizer" are the
+arguments of training.AdamW, which checks their values and supplies the
+defaults of the keys left out. Parsing and serialization are inverses, so a
 config round-trips losslessly.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import json
 from dataclasses import dataclass
 
@@ -41,36 +44,12 @@ PATH_KEYS = (
 
 
 @dataclass(frozen=True)
-class OptimizerSettings:
-    base_lr: float = 5e-5
-    weight_decay: float = 0.01
-    warmup_steps: int = 500
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if not is_int(self.warmup_steps):
-            raise ConfigError("OptimizerSettings.warmup_steps must be an integer")
-
-    def build(self) -> AdamW:
-        return AdamW(
-            base_lr=self.base_lr,
-            weight_decay=self.weight_decay,
-            warmup_steps=self.warmup_steps,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-        )
-
-
-@dataclass(frozen=True)
 class RunConfig:
     encoder: EncoderConfig
     decoder: DecoderConfig | None = None
     generation: GenerationConfig | None = None
     masking: MaskingPolicy = MaskingPolicy()
-    optimizer: OptimizerSettings = OptimizerSettings()
+    optimizer: tuple = ()
     schedule: tuple = ((None, 4),)
     steps: int = 0
     seed: int = 0
@@ -80,6 +59,9 @@ class RunConfig:
 
     def batch_schedule(self) -> BatchSchedule:
         return BatchSchedule(list(self.schedule))
+
+    def build_optimizer(self) -> AdamW:
+        return AdamW(**dict(self.optimizer))
 
     def path(self, key: str) -> str | None:
         return dict(self.paths).get(key)
@@ -91,18 +73,18 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
 
 
-def _section(data: dict, key: str) -> dict:
-    value = data.get(key, {})
+def _section(data: dict, where: str, allowed) -> dict:
+    """data[last part of where] ({} when absent), checked to be an object of allowed keys."""
+    value = data.get(where.rpartition(".")[2], {})
     if not isinstance(value, dict):
-        raise ConfigError(f"config section '{key}' must be an object")
+        raise ConfigError(f"config section '{where}' must be an object")
+    _check_keys(value, allowed, where)
     return value
 
 
-def _build(cls, data: dict, where: str):
-    """Construct a config dataclass from a dict, rejecting unknown keys."""
-    if not isinstance(data, dict):
-        raise ConfigError(f"{where} must be an object")
-    _check_keys(data, [f.name for f in dataclasses.fields(cls)], where)
+def _build(cls, parent: dict, where: str):
+    """Construct a config dataclass from the section at where, rejecting unknown keys."""
+    data = _section(parent, where, [f.name for f in dataclasses.fields(cls)])
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -128,38 +110,27 @@ def parse_run_config(data: dict) -> RunConfig:
         raise ConfigError("config root must be an object")
     _check_keys(data, ("model", "training", "paths"), "config")
 
-    model = _section(data, "model")
-    _check_keys(model, ("encoder", "decoder", "generation"), "model")
+    model = _section(data, "model", ("encoder", "decoder", "generation"))
     if "encoder" not in model:
         raise ConfigError("model.encoder is required")
-    enc_dict = model["encoder"]
-    if not isinstance(enc_dict, dict):
-        raise ConfigError("model.encoder must be an object")
-    _check_keys(enc_dict, [f.name for f in dataclasses.fields(EncoderConfig)], "model.encoder")
-    encoder = encoder_config_from_dict(enc_dict)
-    decoder = (
-        _build(DecoderConfig, model["decoder"], "model.decoder") if "decoder" in model else None
-    )
+    encoder = encoder_config_from_dict(
+        _section(model, "model.encoder", [f.name for f in dataclasses.fields(EncoderConfig)]))
+    decoder = _build(DecoderConfig, model, "model.decoder") if "decoder" in model else None
     generation = (
-        _build(GenerationConfig, model["generation"], "model.generation")
-        if "generation" in model
-        else None
+        _build(GenerationConfig, model, "model.generation") if "generation" in model else None
     )
 
-    training = _section(data, "training")
-    _check_keys(
-        training,
-        ("masking", "optimizer", "schedule", "steps", "seed",
-         "batch_size", "patience"),
-        "training",
-    )
+    training = _section(data, "training", ("masking", "optimizer", "schedule", "steps", "seed",
+                                           "batch_size", "patience"))
     for key in ("steps", "seed"):
         if key not in training:
             raise ConfigError(f"training.{key} is required")
-        if not is_int(training[key]):
-            raise ConfigError(f"training.{key} must be an integer")
-    masking = _build(MaskingPolicy, training.get("masking", {}), "training.masking")
-    optimizer = _build(OptimizerSettings, training.get("optimizer", {}), "training.optimizer")
+        if not is_int(training[key]) or training[key] < 0:
+            raise ConfigError(f"training.{key} must be an integer >= 0")
+    masking = _build(MaskingPolicy, training, "training.masking")
+    adamw_args = inspect.signature(AdamW).parameters
+    optimizer = _section(training, "training.optimizer", adamw_args)
+    AdamW(**optimizer)  # delegate value validation
     schedule = _parse_schedule(training.get("schedule", [[None, 4]]), "training.schedule")
     batch_size = training.get("batch_size", 4)
     patience = training.get("patience", None)
@@ -168,25 +139,23 @@ def parse_run_config(data: dict) -> RunConfig:
     if patience is not None and (not is_int(patience) or patience < 1):
         raise ConfigError("training.patience must be an integer >= 1 when set")
 
-    paths = _section(data, "paths")
-    _check_keys(paths, PATH_KEYS, "paths")
+    paths = _section(data, "paths", PATH_KEYS)
     for key, value in paths.items():
         if not isinstance(value, str):
             raise ConfigError(f"paths.{key} must be a string")
-    ordered = tuple((key, paths[key]) for key in PATH_KEYS if key in paths)
 
     return RunConfig(
         encoder=encoder,
         decoder=decoder,
         generation=generation,
         masking=masking,
-        optimizer=optimizer,
+        optimizer=tuple((key, optimizer[key]) for key in adamw_args if key in optimizer),
         schedule=schedule,
         steps=training["steps"],
         seed=training["seed"],
         batch_size=batch_size,
         patience=patience,
-        paths=ordered,
+        paths=tuple((key, paths[key]) for key in PATH_KEYS if key in paths),
     )
 
 
@@ -200,7 +169,7 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
         "model": model,
         "training": {
             "masking": dataclasses.asdict(cfg.masking),
-            "optimizer": dataclasses.asdict(cfg.optimizer),
+            "optimizer": dict(cfg.optimizer),
             "schedule": [[until, batch] for until, batch in cfg.schedule],
             "steps": cfg.steps,
             "seed": cfg.seed,

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import nn
-from .errors import CheckpointError, ConfigError, ShapeError, is_int
+from .errors import CheckpointError, ConfigError, ShapeError, is_int, is_real
 from .nn import Node, Parameter, Tape
 from .rng import SplitRng
 from .spectral import MixingKind, mix2d, mix2d_vjp
@@ -41,8 +41,8 @@ class EncoderConfig:
             value = getattr(self, field)
             if not is_int(value) or value < 1:
                 raise ConfigError(f"EncoderConfig.{field} must be a positive integer")
-        if self.layer_norm_eps <= 0:
-            raise ConfigError("EncoderConfig.layer_norm_eps must be positive")
+        if not is_real(self.layer_norm_eps) or self.layer_norm_eps <= 0:
+            raise ConfigError("EncoderConfig.layer_norm_eps must be a finite number > 0")
         if not isinstance(self.mixing, MixingKind):
             raise ConfigError("EncoderConfig.mixing must be a MixingKind")
 

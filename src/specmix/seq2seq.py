@@ -28,7 +28,7 @@ from .encoder import (
     init_encoder_state,
     state_from_arrays,
 )
-from .errors import ConfigError, ShapeError, is_int
+from .errors import ConfigError, ShapeError, is_int, is_real
 from .nn import AttentionConfig, AttentionParams, Node, Tape
 from .rng import SplitRng
 
@@ -57,8 +57,8 @@ class DecoderConfig:
             raise ConfigError(
                 f"DecoderConfig.d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if self.layer_norm_eps <= 0:
-            raise ConfigError("DecoderConfig.layer_norm_eps must be positive")
+        if not is_real(self.layer_norm_eps) or self.layer_norm_eps <= 0:
+            raise ConfigError("DecoderConfig.layer_norm_eps must be a finite number > 0")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Byte tokenization, corpus packing, masking, AdamW, and the training loops.
+"""Byte tokenization, corpus packing, masking, AdamW, and the one training loop.
 
 Everything here is deterministic by construction: batch order comes from
 seeded epoch permutations, masking draws from counter-split generator
@@ -9,6 +9,7 @@ parameters bit-for-bit on the same platform.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import nn
 from .encoder import encoder_forward, mlm_logits
-from .errors import ConfigError, TrainingError, is_int
+from .errors import ConfigError, TrainingError, is_int, is_real
 from .rng import SplitRng
 from .seq2seq import BOS_ID, EOS_ID, PAD_ID, seq2seq_loss
 
@@ -77,11 +78,13 @@ class MaskingPolicy:
 
     def __post_init__(self):
         # mask_prob 0 is allowed as the explicit no-op policy.
-        if not 0.0 <= self.mask_prob < 1.0:
-            raise ConfigError("mask_prob must be in [0, 1)")
+        if not is_real(self.mask_prob) or not 0.0 <= self.mask_prob < 1.0:
+            raise ConfigError("MaskingPolicy.mask_prob must be a finite number in [0, 1)")
         fracs = (self.mask_token_frac, self.random_frac, self.keep_frac)
-        if min(fracs) < 0 or abs(sum(fracs) - 1.0) > 1e-9:
-            raise ConfigError("mask/random/keep fractions must be nonnegative and sum to 1")
+        if (not all(is_real(f) and f >= 0 for f in fracs)
+                or abs(sum(fracs) - 1.0) > 1e-9):
+            raise ConfigError("MaskingPolicy mask/random/keep fractions must be finite, "
+                              "nonnegative and sum to 1")
 
 
 def apply_mlm_mask(slice_ids, policy: MaskingPolicy, rng,
@@ -112,11 +115,23 @@ class AdamW:
     """Decoupled-weight-decay Adam with linear warmup to a constant rate.
 
     Moments live per parameter name; they are not persisted in checkpoints,
-    so a resumed run restarts them from zero.
+    so a resumed run restarts them from zero. The constructor's arguments are
+    the keys of a run config's training.optimizer section, checked here.
     """
 
     def __init__(self, base_lr=5e-5, weight_decay=0.01, warmup_steps=500,
                  beta1=0.9, beta2=0.999, eps=1e-8):
+        if not is_int(warmup_steps) or warmup_steps < 0:
+            raise ConfigError("AdamW.warmup_steps must be an integer >= 0")
+        for name, value, ok, rule in (
+            ("base_lr", base_lr, lambda v: v >= 0, ">= 0"),
+            ("weight_decay", weight_decay, lambda v: v >= 0, ">= 0"),
+            ("beta1", beta1, lambda v: 0 <= v < 1, "in [0, 1)"),
+            ("beta2", beta2, lambda v: 0 <= v < 1, "in [0, 1)"),
+            ("eps", eps, lambda v: v > 0, "> 0"),
+        ):
+            if not (is_real(value) and ok(value)):
+                raise ConfigError(f"AdamW.{name} must be a finite number {rule}")
         self.base_lr = base_lr
         self.weight_decay = weight_decay
         self.warmup_steps = warmup_steps
@@ -153,7 +168,7 @@ class AdamW:
 
 def lr_at(step: int, opt: AdamW) -> float:
     """Linear warmup from 0 over warmup_steps, then flat at base_lr."""
-    if opt.warmup_steps <= 0 or step >= opt.warmup_steps:
+    if step >= opt.warmup_steps:
         return opt.base_lr
     return opt.base_lr * (step / opt.warmup_steps)
 
@@ -214,39 +229,55 @@ class _EpochSampler:
         return out
 
 
+def _train(named_params, n_examples: int, example_loss, batch_at, steps: int, seed: int,
+           optimizer: AdamW | None, stop_after=None) -> list:
+    """The one step loop; returns one TraceRow per optimizer step.
+
+    Each step takes batch_at(step) example indices from the seeded epoch
+    sampler, runs example_loss(idx, tape) on a fresh tape per example,
+    back-propagates each loss scaled by 1/batch and applies one optimizer
+    step over named_params(). stop_after(step), when given, is asked after
+    each step whether to end the run.
+    """
+    optimizer = optimizer if optimizer is not None else AdamW()
+    sampler = _EpochSampler(n_examples, SplitRng(seed).split(0))
+    trace = []
+    for step in range(steps):
+        total = batch_at(step)
+        losses = []
+        for idx in sampler.take(total):
+            tape = nn.Tape()
+            loss = example_loss(idx, tape)
+            tape.backward(loss, seed=1.0 / total)
+            losses.append(float(loss.value))
+        lr = optimizer.step(named_params())
+        trace.append(TraceRow(step=step, loss=float(np.mean(losses)),
+                              batch_size=total, lr=lr))
+        if stop_after is not None and stop_after(step):
+            break
+    return trace
+
+
 def train_mlm(cfg, state, dataset: PackedDataset, schedule: BatchSchedule, steps: int,
               seed: int, optimizer: AdamW | None = None,
               policy: MaskingPolicy | None = None) -> list:
     """Masked-token pretraining loop; returns one TraceRow per optimizer step."""
     if len(dataset) == 0:
         raise TrainingError("empty dataset")
-    optimizer = optimizer if optimizer is not None else AdamW()
     policy = policy if policy is not None else MaskingPolicy()
-    root = SplitRng(seed)
-    sampler = _EpochSampler(len(dataset), root.split(0))
-    mask_root = root.split(1)
+    mask_root = SplitRng(seed).split(1)
+    example_counter = itertools.count()
 
-    trace = []
-    example_counter = 0
-    for step in range(steps):
-        total = schedule.batch_at(step)
-        losses = []
-        for idx in sampler.take(total):
-            inputs, labels = apply_mlm_mask(
-                dataset[idx], policy, mask_root.split(example_counter),
-                vocab_size=cfg.vocab_size,
-            )
-            example_counter += 1
-            tape = nn.Tape()
-            hidden = encoder_forward(cfg, state, inputs, tape=tape)
-            logits = mlm_logits(cfg, state, hidden, tape)
-            loss = nn.masked_cross_entropy(logits, labels, tape)
-            tape.backward(loss, seed=1.0 / total)
-            losses.append(float(loss.value))
-        lr = optimizer.step(state.named_params())
-        trace.append(TraceRow(step=step, loss=float(np.mean(losses)),
-                              batch_size=total, lr=lr))
-    return trace
+    def example_loss(idx, tape):
+        inputs, labels = apply_mlm_mask(
+            dataset[idx], policy, mask_root.split(next(example_counter)),
+            vocab_size=cfg.vocab_size,
+        )
+        hidden = encoder_forward(cfg, state, inputs, tape=tape)
+        return nn.masked_cross_entropy(mlm_logits(cfg, state, hidden, tape), labels, tape)
+
+    return _train(state.named_params, len(dataset), example_loss, schedule.batch_at,
+                  steps, seed, optimizer)
 
 
 class EarlyStopper:
@@ -268,67 +299,33 @@ class EarlyStopper:
         return self.bad_epochs >= self.patience
 
 
-def _is_frozen(name: str, freeze_prefixes) -> bool:
-    return any(name.startswith(prefix) for prefix in freeze_prefixes)
-
-
 def train_seq2seq(state, pairs, steps: int, seed: int, optimizer: AdamW | None = None,
-                  batch_size: int = 4, val_pairs=None, patience: int | None = None,
-                  freeze_prefixes=()) -> list:
+                  batch_size: int = 4, val_pairs=None, patience: int | None = None) -> list:
     """Teacher-forced fine-tuning; optional epoch-level early stopping.
 
-    freeze_prefixes excludes matching parameters from optimization entirely:
-    their gradients are discarded and weight decay never touches them.
+    With patience and val_pairs set, the mean validation loss is computed
+    at the end of every step that completes an epoch of pairs.
     """
     if not pairs:
         raise TrainingError("empty pair set")
-    optimizer = optimizer if optimizer is not None else AdamW()
-    root = SplitRng(seed)
-    sampler = _EpochSampler(len(pairs), root.split(0))
     stopper = EarlyStopper(patience) if patience is not None else None
 
-    live_params = [
-        (name, p) for name, p in state.named_params()
-        if not _is_frozen(name, freeze_prefixes)
-    ]
-    frozen_params = [
-        p for name, p in state.named_params() if _is_frozen(name, freeze_prefixes)
-    ]
+    def example_loss(idx, tape):
+        return seq2seq_loss(state, *pairs[idx], tape)
 
-    def val_loss() -> float:
-        values = [float(seq2seq_loss(state, src, tgt, None).value)
-                  for src, tgt in val_pairs]
-        return float(np.mean(values))
+    def stop_after(step) -> bool:
+        if (step + 1) * batch_size // len(pairs) == step * batch_size // len(pairs):
+            return False
+        values = [float(seq2seq_loss(state, src, tgt, None).value) for src, tgt in val_pairs]
+        return stopper.update(float(np.mean(values)))
 
-    trace = []
-    examples_seen = 0
-    epochs_completed = 0
-    for step in range(steps):
-        indices = sampler.take(batch_size)
-        losses = []
-        for idx in indices:
-            src, tgt = pairs[idx]
-            tape = nn.Tape()
-            loss = seq2seq_loss(state, src, tgt, tape)
-            tape.backward(loss, seed=1.0 / batch_size)
-            losses.append(float(loss.value))
-        for p in frozen_params:
-            p.zero_grad()
-        lr = optimizer.step(live_params)
-        trace.append(TraceRow(step=step, loss=float(np.mean(losses)),
-                              batch_size=batch_size, lr=lr))
-        examples_seen += batch_size
-        if stopper is not None and val_pairs:
-            completed_now = examples_seen // len(pairs)
-            if completed_now > epochs_completed:
-                epochs_completed = completed_now
-                if stopper.update(val_loss()):
-                    break
-    return trace
+    return _train(state.named_params, len(pairs), example_loss, lambda step: batch_size,
+                  steps, seed, optimizer,
+                  stop_after if stopper is not None and val_pairs else None)
 
 
 def read_jsonl(path, fields) -> list:
-    """The named string fields of every object in a JSON-lines file, one tuple per line.
+    """(line number, *named string fields) of every object in a JSON-lines file.
 
     Blank lines are skipped. A line that is not UTF-8, invalid JSON, a line
     that is not an object, and a missing or non-string field raise ConfigError
@@ -356,14 +353,14 @@ def read_jsonl(path, fields) -> list:
                     raise ConfigError(f"{where}: missing '{name}' field")
                 if not isinstance(record[name], str):
                     raise ConfigError(f"{where}: field '{name}' must be a string")
-            rows.append(tuple(record[name] for name in fields))
+            rows.append((line_no, *(record[name] for name in fields)))
     return rows
 
 
 def load_corpus_jsonl(path, tokenizer: ByteTokenizer | None = None) -> list:
     """One {"text": ...} object per line -> list of token-id arrays."""
     tokenizer = tokenizer if tokenizer is not None else ByteTokenizer()
-    return [tokenizer.encode(text) for text, in read_jsonl(path, ("text",))]
+    return [tokenizer.encode(text) for _, text in read_jsonl(path, ("text",))]
 
 
 def load_pairs_jsonl(path, tokenizer: ByteTokenizer | None = None,
@@ -374,7 +371,7 @@ def load_pairs_jsonl(path, tokenizer: ByteTokenizer | None = None,
     """
     tokenizer = tokenizer if tokenizer is not None else ByteTokenizer()
     pairs = []
-    for source, target in read_jsonl(path, ("source", "target")):
+    for _, source, target in read_jsonl(path, ("source", "target")):
         tgt = tokenizer.encode(target)
         if append_eos:
             tgt = np.concatenate((tgt, [tokenizer.eos_id]))

@@ -184,6 +184,13 @@ class TestTrainMlm:
         assert main(["train-mlm", "--config", str(cfg)]) == 1
         assert "no such file" in capsys.readouterr().err
 
+    def test_negative_seed_flag_is_named(self, workdir, tmp_path, capsys):
+        out = tmp_path / "m.spmx"
+        assert main(["train-mlm", "--config", str(workdir.config), "--seed", "-1",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+        assert not out.exists()
+
     def test_requires_config_flag(self, capsys):
         assert main(["train-mlm"]) == 1
         assert "requires --config" in capsys.readouterr().err
@@ -199,7 +206,7 @@ class TestTrainMlm:
         assert "learning_rate" in capsys.readouterr().err
 
 
-# config key -> a mistyped value, and what the one error line must name
+# config key -> a mistyped or out-of-range value, and what the one error line must name
 MISTYPED_CONFIG = [
     ("training.batch_size", "4", "training.batch_size"),
     ("training.batch_size", None, "training.batch_size"),
@@ -208,10 +215,19 @@ MISTYPED_CONFIG = [
     ("training.schedule", [[None, "4"]], "batch_size"),
     ("training.schedule", [[2.5, 4], [None, 4]], "until_step"),
     ("training.patience", 1.5, "training.patience"),
-    ("training.optimizer.warmup_steps", "5", "OptimizerSettings.warmup_steps"),
+    ("training.optimizer.warmup_steps", "5", "AdamW.warmup_steps"),
+    ("training.optimizer.base_lr", "0.001", "AdamW.base_lr"),
+    ("training.optimizer.beta1", True, "AdamW.beta1"),
+    ("training.optimizer.eps", float("inf"), "AdamW.eps"),
+    ("training.seed", -1, "training.seed"),
+    ("training.steps", -3, "training.steps"),
+    ("training.masking.mask_prob", float("nan"), "MaskingPolicy.mask_prob"),
+    ("training.masking.keep_frac", float("nan"), "MaskingPolicy"),
     ("model.encoder.n_layers", 1.5, "EncoderConfig.n_layers"),
     ("model.encoder.d_model", 8.0, "EncoderConfig.d_model"),
     ("model.encoder.max_positions", True, "EncoderConfig.max_positions"),
+    ("model.encoder.layer_norm_eps", float("nan"), "EncoderConfig.layer_norm_eps"),
+    ("model.decoder.layer_norm_eps", float("nan"), "DecoderConfig.layer_norm_eps"),
     ("model.decoder.n_heads", "2", "DecoderConfig.n_heads"),
     ("model.generation.beam_size", 2.5, "GenerationConfig.beam_size"),
 ]
@@ -228,7 +244,8 @@ def test_mistyped_config_integer_is_one_error_line(key, value, names, tmp_path, 
                         "vocab_size": 261, "max_positions": 16},
             "generation": {"beam_size": 2},
         },
-        "training": {"steps": 1, "seed": 0, "schedule": [[None, 2]], "optimizer": {}},
+        "training": {"steps": 1, "seed": 0, "schedule": [[None, 2]], "optimizer": {},
+                     "masking": {}},
         "paths": {"corpus": str(corpus), "checkpoint_out": str(tmp_path / "out.spmx")},
     }
     *parents, leaf = key.split(".")
@@ -432,6 +449,21 @@ class TestFinetuneAndGenerate:
         cfg.write_text(json.dumps(data))
         assert main(["generate", "--config", str(cfg)]) == 1
         assert "not a sequence-to-sequence checkpoint" in capsys.readouterr().err
+
+    def test_too_long_source_leaves_no_output(self, seq2seq_run, tmp_path, capsys):
+        sources = tmp_path / "sources.jsonl"
+        sources.write_text(json.dumps({"source": "abcd"}) + "\n\n"
+                           + json.dumps({"source": "x" * 50}) + "\n", encoding="utf-8")
+        data = json.loads(seq2seq_run.gen_config.read_text())
+        data["model"]["generation"]["max_input_len"] = 64
+        data["paths"].update(sources=str(sources), output=str(tmp_path / "g.jsonl"))
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["generate", "--config", str(cfg)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {sources}:3: ")
+        assert "exceeds max_positions 32" in lines[0]
+        assert not (tmp_path / "g.jsonl").exists()
 
 
 class TestFinetuneWarmStart:

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 from specmix.config import (
-    OptimizerSettings,
     RunConfig,
     load_run_config,
     parse_run_config,
@@ -71,7 +70,7 @@ class TestParsing:
         )
         assert cfg.decoder is None and cfg.generation is None
         assert cfg.masking == MaskingPolicy()
-        assert cfg.optimizer == OptimizerSettings()
+        assert cfg.optimizer == ()
         assert cfg.schedule == ((None, 4),)
         assert (cfg.steps, cfg.seed) == (10, 7)
         assert (cfg.batch_size, cfg.patience) == (4, None)
@@ -86,7 +85,7 @@ class TestParsing:
             max_input_len=32, max_target_len=8, beam_size=2
         )
         assert cfg.masking.mask_prob == 0.2
-        assert cfg.optimizer.base_lr == 1e-3
+        assert cfg.optimizer == (("base_lr", 1e-3), ("warmup_steps", 5))
         assert cfg.schedule == ((10, 2), (None, 4))
         assert cfg.batch_schedule().batch_at(9) == 2
         assert cfg.batch_schedule().batch_at(10) == 4
@@ -188,7 +187,7 @@ class TestRoundTrip:
             load_run_config(tmp_path / "absent.json")
 
     def test_optimizer_settings_build(self):
-        opt = OptimizerSettings(base_lr=1e-3, warmup_steps=5).build()
+        opt = parse_run_config(full_dict()).build_optimizer()
         assert opt.base_lr == 1e-3
         assert opt.warmup_steps == 5
         assert opt.step_count == 0

@@ -1,6 +1,8 @@
-"""Tokenizer, packing, masking, optimizer, schedules, and both training loops."""
+"""Tokenizer, packing, masking, optimizer, schedules, and the training loop."""
 
+import hashlib
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -353,31 +355,44 @@ class TestTrainSeq2seq:
                               batch_size=4)
         assert np.mean([r.loss for r in trace[-5:]]) < np.mean([r.loss for r in trace[:5]])
 
-    def test_frozen_decoder_still_learns_through_seam(self):
-        """With every decoder weight pinned, only the cross-attention path into
-        the encoder can reduce the loss."""
-        state = init_seq2seq_state(ENC, DEC, SplitRng(4))
-        before = {name: p.value.copy() for name, p in state.named_params()}
-        trace = train_seq2seq(state, copy_pairs(), steps=60, seed=5,
-                              optimizer=AdamW(base_lr=3e-3, warmup_steps=5),
-                              batch_size=4, freeze_prefixes=("decoder.",))
-        for name, p in state.named_params():
-            if name.startswith("decoder."):
-                assert np.array_equal(p.value, before[name]), name
-        assert any(not np.array_equal(p.value, before[name])
-                   for name, p in state.named_params() if name.startswith("encoder."))
-        assert np.mean([r.loss for r in trace[-5:]]) < np.mean([r.loss for r in trace[:5]])
-
     def test_early_stopping_on_flat_validation(self):
-        # Freezing everything pins the validation loss, so the best never
+        # A zero learning rate pins the validation loss, so the best never
         # improves after epoch 1 and patience 2 stops the run at epoch 3.
         pairs = copy_pairs(n=4)
         state = init_seq2seq_state(ENC, DEC, SplitRng(6))
         trace = train_seq2seq(state, pairs, steps=100, seed=7,
-                              optimizer=AdamW(base_lr=1e-3, warmup_steps=0),
-                              batch_size=2, val_pairs=pairs[:2], patience=2,
-                              freeze_prefixes=("encoder.", "decoder."))
+                              optimizer=AdamW(base_lr=0.0, warmup_steps=0),
+                              batch_size=2, val_pairs=pairs[:2], patience=2)
         assert len(trace) == 6  # 2 steps per epoch x 3 epochs
+
+
+def loop_digest(trace, state) -> str:
+    h = hashlib.sha256()
+    for row in trace:
+        h.update(struct.pack("<qdqd", row.step, row.loss, row.batch_size, row.lr))
+    for name, p in state.named_params():
+        h.update(name.encode())
+        h.update(p.value.tobytes())
+    return h.hexdigest()
+
+
+class TestLoopBytes:
+    """Loss traces and trained parameters are part of the determinism contract: pin their bytes."""
+
+    def test_train_mlm_two_phase_schedule(self):
+        state, trace = micro_train(seed=4, steps=8, schedule=BatchSchedule([(3, 2), (None, 3)]))
+        assert loop_digest(trace, state) == (
+            "771ad4dc34f5e04588b27beacc828fb823cea0ae1a0de795a2fda36210bd9f2c")
+
+    def test_train_seq2seq_early_stopped(self):
+        # 5 pairs in batches of 2: epochs end mid-batch; patience stops the run at step 20
+        state = init_seq2seq_state(ENC, DEC, SplitRng(8))
+        trace = train_seq2seq(state, copy_pairs(n=5), steps=40, seed=9,
+                              optimizer=AdamW(base_lr=3e-3, warmup_steps=2), batch_size=2,
+                              val_pairs=copy_pairs(n=2, seed=1), patience=2)
+        assert len(trace) == 20
+        assert loop_digest(trace, state) == (
+            "fd4578e8bfc2a49df08f6b077c15a93f225c4df27b5701b4d4b4503e8909f2aa")
 
 
 class TestLoaders:
@@ -397,7 +412,7 @@ class TestLoaders:
     def test_read_jsonl_names_the_bad_line(self, tmp_path):
         path = tmp_path / "pairs.jsonl"
         path.write_text('{"hyp": "a", "ref": "b", "x": 1}\n\n', encoding="utf-8")
-        assert read_jsonl(path, ("hyp", "ref")) == [("a", "b")]
+        assert read_jsonl(path, ("hyp", "ref")) == [(1, "a", "b")]
         with open(path, "a", encoding="utf-8") as fh:
             fh.write('{"hyp": 5, "ref": "b"}\n')
         with pytest.raises(ConfigError, match=re.escape(f"{path}:3: field 'hyp' must be a string")):
