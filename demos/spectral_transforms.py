@@ -39,7 +39,7 @@ grid = rng.normal(size=(4, 6))
 print(f"\n2D mixing of a {grid.shape} token grid, one row per kind:")
 for kind in MixingKind:
     mixed = mix2d(grid, kind)
-    print(f"  {kind.label:12s} first row {np.array2string(mixed[0], precision=3)}")
+    print(f"  {kind.value:12s} first row {np.array2string(mixed[0], precision=3)}")
 
 # the Hartley kind equals Re - Im of the 2D Fourier transform
 re = mix2d(grid, MixingKind.FOURIER_REAL)

@@ -80,5 +80,5 @@ with tempfile.TemporaryDirectory() as tmp:
     new_cfg, new_state = swap_mixing(ckpt, MixingKind.FOURIER_REAL)
     more = train_mlm(new_cfg, new_state, dataset, BatchSchedule([(None, 4)]),
                      steps=20, seed=1, optimizer=AdamW(base_lr=1e-3, warmup_steps=10))
-    print(f"resumed under {new_cfg.mixing.label}: 20 more steps, "
+    print(f"resumed under {new_cfg.mixing.value}: 20 more steps, "
           f"final loss {more[-1].loss:.4f}")

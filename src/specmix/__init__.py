@@ -23,7 +23,6 @@ from .encoder import (
     EncoderState,
     base_encoder_config,
     count_params,
-    encoder_config_from_dict,
     encoder_config_to_dict,
     encoder_forward,
     init_encoder_state,
@@ -117,7 +116,6 @@ __all__ = [
     "decoder_forward",
     "dft_naive",
     "dht_naive",
-    "encoder_config_from_dict",
     "encoder_config_to_dict",
     "encoder_forward",
     "fft",

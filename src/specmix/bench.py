@@ -129,7 +129,7 @@ def bench_mixing_vs_attention(
             for kind, median in zip(MIXING_KINDS, medians):
                 ips = 1.0 / median
                 results.append(
-                    BenchResult(kind.label, seq_len, d_model, ips, ips / base_ips)
+                    BenchResult(kind.value, seq_len, d_model, ips, ips / base_ips)
                 )
     return results
 

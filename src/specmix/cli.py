@@ -21,16 +21,14 @@ from .bench import bench_mixing_vs_attention, results_csv, results_markdown
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
 from .encoder import (
+    EncoderConfig,
+    EncoderState,
     base_encoder_config,
     count_params,
-    encoder_config_from_dict,
-    encoder_config_to_dict,
     init_encoder_state,
-    param_shapes,
     state_from_arrays,
-    swap_mixing,
 )
-from .errors import CheckpointError, ConfigError, ShapeError, TrainingError
+from .errors import CheckpointError, ConfigError, ShapeError, TrainingError, build_config
 from .metrics import TaskMetricPair, relative_performance, rouge1_f, rougeL_f
 from .rng import SplitRng
 from .seq2seq import (
@@ -51,8 +49,6 @@ from .training import (
     train_seq2seq,
 )
 
-MIXING_LABELS = [kind.label for kind in MixingKind]
-
 
 def _require_config(args) -> RunConfig:
     if args.config is None:
@@ -63,7 +59,7 @@ def _require_config(args) -> RunConfig:
             raise ConfigError("--seed must be >= 0")
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.mixing is not None:
-        encoder = dataclasses.replace(cfg.encoder, mixing=MixingKind.from_label(args.mixing))
+        encoder = dataclasses.replace(cfg.encoder, mixing=args.mixing)
         cfg = dataclasses.replace(cfg, encoder=encoder)
     return cfg
 
@@ -106,81 +102,64 @@ def _finish_training(cfg: RunConfig, out_path, config_blob: dict, state, trace,
     return 0
 
 
-def _run_mlm_training(cfg: RunConfig, enc_cfg, state, corpus_path, out_path):
-    docs = load_corpus_jsonl(corpus_path)
-    dataset = pack_corpus(docs, enc_cfg.max_positions)
-    trace = train_mlm(
-        enc_cfg,
-        state,
-        dataset,
-        cfg.batch_schedule(),
-        cfg.steps,
-        cfg.seed,
-        optimizer=cfg.build_optimizer(),
-        policy=cfg.masking,
-    )
-    return _finish_training(cfg, out_path, encoder_config_to_dict(enc_cfg), state, trace,
-                            "trained")
+def _warm_start_encoder(cfg: RunConfig, command: str, with_mlm_head: bool) -> EncoderState:
+    """model.encoder's state, loaded from the pretraining checkpoint at paths.checkpoint_in.
+
+    The checkpoint's encoder config must equal model.encoder in every field
+    but mixing, which owns no parameters: a different kind is swapped in and
+    reported. The masked-prediction head is kept or dropped.
+    """
+    path = _require_input(cfg, "checkpoint_in", command)
+    ckpt = load_checkpoint(path)
+    if "encoder" in ckpt.config:
+        raise CheckpointError(f"{path} is a sequence-to-sequence checkpoint, "
+                              "not an encoder pretraining checkpoint")
+    saved = build_config(EncoderConfig, ckpt.config, f"{path} encoder")
+    differing = [field.name for field in dataclasses.fields(saved)
+                 if field.name != "mixing"
+                 and getattr(saved, field.name) != getattr(cfg.encoder, field.name)]
+    if differing:
+        raise ConfigError(
+            f"{path} encoder config differs from model.encoder in: {', '.join(differing)}")
+    if saved.mixing != cfg.encoder.mixing:
+        print(f"mixing swapped {saved.mixing.value} -> {cfg.encoder.mixing.value}")
+    return state_from_arrays(cfg.encoder, {name: arr for name, arr in ckpt.arrays.items()
+                                           if with_mlm_head or not name.startswith("mlm.")})
 
 
 def cmd_train_mlm(args) -> int:
-    cfg = _require_config(args)
-    corpus = _require_input(cfg, "corpus", "train-mlm")
-    out = _out_path(cfg, args, "checkpoint_out")
-    state = init_encoder_state(cfg.encoder, SplitRng(cfg.seed), with_mlm_head=True)
-    return _run_mlm_training(cfg, cfg.encoder, state, corpus, out)
+    """Pretrain model.encoder: train-mlm from fresh weights, resume from paths.checkpoint_in.
 
-
-def cmd_resume(args) -> int:
-    """Continue pretraining from a checkpoint; optimizer moments restart at zero."""
+    A resumed run restarts the optimizer moments at zero.
+    """
     cfg = _require_config(args)
-    ckpt_path = _require_input(cfg, "checkpoint_in", "resume")
-    corpus = _require_input(cfg, "corpus", "resume")
+    corpus = _require_input(cfg, "corpus", args.command)
     out = _out_path(cfg, args, "checkpoint_out")
-    ckpt = load_checkpoint(ckpt_path)
-    if "encoder" in ckpt.config:
-        raise CheckpointError(f"{ckpt_path} is a sequence-to-sequence checkpoint")
-    enc_cfg = encoder_config_from_dict(ckpt.config)
-    if args.mixing is not None and args.mixing != enc_cfg.mixing.label:
-        enc_cfg, state = swap_mixing(ckpt, MixingKind.from_label(args.mixing))
-        print(f"mixing swapped {ckpt.config['mixing']} -> {enc_cfg.mixing.label}")
+    if args.command == "resume":
+        state = _warm_start_encoder(cfg, "resume", with_mlm_head=True)
+        print(f"resumed {cfg.path('checkpoint_in')} (optimizer moments reset)")
     else:
-        state = state_from_arrays(enc_cfg, ckpt.arrays)
-    print(f"resumed {ckpt_path} (optimizer moments reset)")
-    return _run_mlm_training(cfg, enc_cfg, state, corpus, out)
-
-
-def _encoder_weights_from_mlm_checkpoint(enc_cfg, ckpt, ckpt_path):
-    """Warm-start arrays: the prediction head is dropped, everything else kept."""
-    saved = encoder_config_to_dict(encoder_config_from_dict(ckpt.config))
-    wanted = encoder_config_to_dict(enc_cfg)
-    differing = sorted(
-        key for key in wanted
-        if key != "mixing" and saved.get(key) != wanted[key]
-    )
-    if differing:
-        raise ConfigError(
-            f"{ckpt_path} encoder config differs from model.encoder in: {', '.join(differing)}"
-        )
-    keep = set(param_shapes(enc_cfg, with_mlm_head=False))
-    return {name: arr for name, arr in ckpt.arrays.items() if name in keep}
+        state = init_encoder_state(cfg.encoder, SplitRng(cfg.seed), with_mlm_head=True)
+    dataset = pack_corpus(load_corpus_jsonl(corpus), cfg.encoder.max_positions)
+    trace = train_mlm(cfg.encoder, state, dataset, cfg.batch_schedule(), cfg.steps, cfg.seed,
+                      optimizer=cfg.build_optimizer(), policy=cfg.masking)
+    return _finish_training(cfg, out, dataclasses.asdict(cfg.encoder), state, trace, "trained")
 
 
 def cmd_finetune(args) -> int:
     cfg = _require_config(args)
     if cfg.decoder is None:
         raise ConfigError("finetune requires model.decoder in the config")
+    (until, batch_size), *later = cfg.schedule
+    if until is not None or later:
+        raise ConfigError("finetune needs training.schedule to be one open-ended phase "
+                          "[[null, batch]]: early stopping counts epochs at a constant batch")
     pairs_path = _require_input(cfg, "pairs", "finetune")
     out = _out_path(cfg, args, "checkpoint_out")
     state = init_seq2seq_state(cfg.encoder, cfg.decoder, SplitRng(cfg.seed))
     if cfg.path("checkpoint_in") is not None:
-        ckpt_path = _require_input(cfg, "checkpoint_in", "finetune")
-        ckpt = load_checkpoint(ckpt_path)
-        if "encoder" in ckpt.config:
-            raise CheckpointError(f"{ckpt_path} is not an encoder pretraining checkpoint")
-        arrays = _encoder_weights_from_mlm_checkpoint(cfg.encoder, ckpt, ckpt_path)
-        state.encoder = state_from_arrays(cfg.encoder, arrays)
-        print(f"initialized encoder from {ckpt_path}")
+        state.encoder = _warm_start_encoder(cfg, "finetune", with_mlm_head=False)
+        print(f"initialized encoder from {cfg.path('checkpoint_in')}")
     pairs = load_pairs_jsonl(pairs_path)
     val_pairs = None
     if cfg.path("val_pairs") is not None:
@@ -191,12 +170,12 @@ def cmd_finetune(args) -> int:
         cfg.steps,
         cfg.seed,
         optimizer=cfg.build_optimizer(),
-        batch_size=cfg.batch_size,
+        batch_size=batch_size,
         val_pairs=val_pairs,
         patience=cfg.patience,
     )
     config_blob = {
-        "encoder": encoder_config_to_dict(cfg.encoder),
+        "encoder": dataclasses.asdict(cfg.encoder),
         "decoder": dataclasses.asdict(cfg.decoder),
     }
     return _finish_training(cfg, out, config_blob, state, trace, "fine-tuned")
@@ -206,11 +185,8 @@ def _load_seq2seq_checkpoint(path):
     ckpt = load_checkpoint(path)
     if "encoder" not in ckpt.config or "decoder" not in ckpt.config:
         raise CheckpointError(f"{path} is not a sequence-to-sequence checkpoint")
-    enc_cfg = encoder_config_from_dict(ckpt.config["encoder"])
-    try:
-        dec_cfg = DecoderConfig(**ckpt.config["decoder"])
-    except TypeError as exc:
-        raise CheckpointError(f"{path}: bad decoder config: {exc}") from exc
+    enc_cfg = build_config(EncoderConfig, ckpt.config["encoder"], f"{path} encoder")
+    dec_cfg = build_config(DecoderConfig, ckpt.config["decoder"], f"{path} decoder")
     return seq2seq_state_from_arrays(enc_cfg, dec_cfg, ckpt.arrays)
 
 
@@ -308,8 +284,7 @@ def cmd_count_params(args) -> int:
     if args.config is not None:
         encoder = _require_config(args).encoder
     else:
-        mixing = MixingKind.from_label(args.mixing) if args.mixing else MixingKind.FOURIER_REAL
-        encoder = base_encoder_config(mixing=mixing)
+        encoder = base_encoder_config(mixing=args.mixing or MixingKind.FOURIER_REAL)
     print(f"parameters: {count_params(encoder):,}")
     counts = {
         n: count_params(dataclasses.replace(encoder, max_positions=n)) for n in (4096, 8192)
@@ -322,7 +297,7 @@ def cmd_count_params(args) -> int:
 
 _COMMANDS = {
     "train-mlm": cmd_train_mlm,
-    "resume": cmd_resume,
+    "resume": cmd_train_mlm,
     "finetune": cmd_finetune,
     "generate": cmd_generate,
     "evaluate": cmd_evaluate,
@@ -335,7 +310,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="JSON run config")
     common.add_argument("--seed", type=int, metavar="N", help="override training.seed")
-    common.add_argument("--mixing", choices=MIXING_LABELS, help="override mixing kind")
+    common.add_argument("--mixing", choices=[kind.value for kind in MixingKind],
+                        help="override mixing kind")
     common.add_argument("--out", metavar="PATH", help="override the output path")
 
     parser = argparse.ArgumentParser(

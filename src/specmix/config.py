@@ -5,7 +5,7 @@ fail fast instead of silently falling back to defaults.
 
     {
       "model":    {"encoder": {...}, "decoder": {...}, "generation": {...}},
-      "training": {"steps": int >= 0, "seed": int >= 0, "batch_size": int,
+      "training": {"steps": int >= 0, "seed": int >= 0,
                    "patience": int | null,
                    "masking": {...}, "optimizer": {...},
                    "schedule": [[until | null, batch], ...]},
@@ -13,21 +13,25 @@ fail fast instead of silently falling back to defaults.
     }
 
 Only "model.encoder", "training.steps" and "training.seed" are required;
-everything else has defaults. The keys of "training.optimizer" are the
-arguments of training.AdamW, which checks their values and supplies the
-defaults of the keys left out. Parsing and serialization are inverses, so a
-config round-trips losslessly.
+everything else has defaults. The keys of "model.encoder", "model.decoder",
+"model.generation", "training.masking" and "training.optimizer" are the
+arguments of EncoderConfig, DecoderConfig, GenerationConfig, MaskingPolicy
+and training.AdamW, which check their values and supply the defaults of the
+keys left out; errors.build_config reads all five. "training.schedule" sets
+the batch size: pretraining follows its phases, and fine-tuning, whose early
+stopping counts epochs at a constant batch, takes exactly one open-ended
+phase [[null, batch]]. Parsing and serialization are inverses, so a config
+round-trips losslessly.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import json
 from dataclasses import dataclass
 
-from .encoder import EncoderConfig, encoder_config_from_dict, encoder_config_to_dict
-from .errors import ConfigError, is_int
+from .encoder import EncoderConfig
+from .errors import ConfigError, build_config, check_keys, is_int
 from .seq2seq import DecoderConfig, GenerationConfig
 from .training import AdamW, BatchSchedule, MaskingPolicy
 
@@ -53,7 +57,6 @@ class RunConfig:
     schedule: tuple = ((None, 4),)
     steps: int = 0
     seed: int = 0
-    batch_size: int = 4
     patience: int | None = None
     paths: tuple = ()
 
@@ -67,30 +70,9 @@ class RunConfig:
         return dict(self.paths).get(key)
 
 
-def _check_keys(section: dict, allowed, where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-def _section(data: dict, where: str, allowed) -> dict:
-    """data[last part of where] ({} when absent), checked to be an object of allowed keys."""
-    value = data.get(where.rpartition(".")[2], {})
-    if not isinstance(value, dict):
-        raise ConfigError(f"config section '{where}' must be an object")
-    _check_keys(value, allowed, where)
-    return value
-
-
-def _build(cls, parent: dict, where: str):
-    """Construct a config dataclass from the section at where, rejecting unknown keys."""
-    data = _section(parent, where, [f.name for f in dataclasses.fields(cls)])
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad {where}: {exc}") from exc
+def _section(parent: dict, where: str, allowed) -> dict:
+    """parent[last part of where] ({} when absent), checked to be an object of allowed keys."""
+    return check_keys(parent.get(where.rpartition(".")[2], {}), allowed, where)
 
 
 def _parse_schedule(raw, where: str) -> tuple:
@@ -101,41 +83,37 @@ def _parse_schedule(raw, where: str) -> tuple:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise ConfigError(f"{where} entries must be [until, batch] pairs, got {item!r}")
         phases.append((item[0], item[1]))
-    BatchSchedule(phases)  # delegate boundary/ordering validation
+    try:
+        BatchSchedule(phases)  # delegate boundary/ordering validation
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     return tuple(phases)
 
 
 def parse_run_config(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be an object")
-    _check_keys(data, ("model", "training", "paths"), "config")
+    check_keys(data, ("model", "training", "paths"), "config")
 
     model = _section(data, "model", ("encoder", "decoder", "generation"))
     if "encoder" not in model:
         raise ConfigError("model.encoder is required")
-    encoder = encoder_config_from_dict(
-        _section(model, "model.encoder", [f.name for f in dataclasses.fields(EncoderConfig)]))
-    decoder = _build(DecoderConfig, model, "model.decoder") if "decoder" in model else None
-    generation = (
-        _build(GenerationConfig, model, "model.generation") if "generation" in model else None
-    )
+    encoder = build_config(EncoderConfig, model["encoder"], "model.encoder")
+    decoder = (build_config(DecoderConfig, model["decoder"], "model.decoder")
+               if "decoder" in model else None)
+    generation = (build_config(GenerationConfig, model["generation"], "model.generation")
+                  if "generation" in model else None)
 
     training = _section(data, "training", ("masking", "optimizer", "schedule", "steps", "seed",
-                                           "batch_size", "patience"))
+                                           "patience"))
     for key in ("steps", "seed"):
         if key not in training:
             raise ConfigError(f"training.{key} is required")
         if not is_int(training[key]) or training[key] < 0:
             raise ConfigError(f"training.{key} must be an integer >= 0")
-    masking = _build(MaskingPolicy, training, "training.masking")
-    adamw_args = inspect.signature(AdamW).parameters
-    optimizer = _section(training, "training.optimizer", adamw_args)
-    AdamW(**optimizer)  # delegate value validation
+    masking = build_config(MaskingPolicy, training.get("masking", {}), "training.masking")
+    optimizer = training.get("optimizer", {})
+    build_config(AdamW, optimizer, "training.optimizer")  # delegate key and value validation
     schedule = _parse_schedule(training.get("schedule", [[None, 4]]), "training.schedule")
-    batch_size = training.get("batch_size", 4)
     patience = training.get("patience", None)
-    if not is_int(batch_size) or batch_size < 1:
-        raise ConfigError("training.batch_size must be an integer >= 1")
     if patience is not None and (not is_int(patience) or patience < 1):
         raise ConfigError("training.patience must be an integer >= 1 when set")
 
@@ -149,18 +127,17 @@ def parse_run_config(data: dict) -> RunConfig:
         decoder=decoder,
         generation=generation,
         masking=masking,
-        optimizer=tuple((key, optimizer[key]) for key in adamw_args if key in optimizer),
+        optimizer=tuple(sorted(optimizer.items())),
         schedule=schedule,
         steps=training["steps"],
         seed=training["seed"],
-        batch_size=batch_size,
         patience=patience,
         paths=tuple((key, paths[key]) for key in PATH_KEYS if key in paths),
     )
 
 
 def run_config_to_dict(cfg: RunConfig) -> dict:
-    model = {"encoder": encoder_config_to_dict(cfg.encoder)}
+    model = {"encoder": dataclasses.asdict(cfg.encoder)}
     if cfg.decoder is not None:
         model["decoder"] = dataclasses.asdict(cfg.decoder)
     if cfg.generation is not None:
@@ -173,7 +150,6 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
             "schedule": [[until, batch] for until, batch in cfg.schedule],
             "steps": cfg.steps,
             "seed": cfg.seed,
-            "batch_size": cfg.batch_size,
             "patience": cfg.patience,
         },
         "paths": dict(cfg.paths),

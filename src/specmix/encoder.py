@@ -14,18 +14,20 @@ configuration family this mirrors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import nn
-from .errors import CheckpointError, ConfigError, ShapeError, is_int, is_real
+from .errors import CheckpointError, ConfigError, ShapeError, build_config, is_int, is_real
 from .nn import Node, Parameter, Tape
 from .rng import SplitRng
 from .spectral import MixingKind, mix2d, mix2d_vjp
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """Encoder sizes and mixing kind; a mixing label is stored as its MixingKind member."""
+
     n_layers: int
     d_model: int
     d_ff: int
@@ -43,8 +45,12 @@ class EncoderConfig:
                 raise ConfigError(f"EncoderConfig.{field} must be a positive integer")
         if not is_real(self.layer_norm_eps) or self.layer_norm_eps <= 0:
             raise ConfigError("EncoderConfig.layer_norm_eps must be a finite number > 0")
-        if not isinstance(self.mixing, MixingKind):
-            raise ConfigError("EncoderConfig.mixing must be a MixingKind")
+        try:
+            object.__setattr__(self, "mixing", MixingKind(self.mixing))
+        except ValueError:
+            valid = ", ".join(kind.value for kind in MixingKind)
+            raise ConfigError(
+                f"EncoderConfig.mixing {self.mixing!r} is not one of: {valid}") from None
 
 
 def base_encoder_config(max_positions=4096, mixing=MixingKind.FOURIER_REAL) -> EncoderConfig:
@@ -173,28 +179,8 @@ def mlm_logits(cfg, state, hidden: Node, tape: Tape | None = None) -> Node:
     return nn.tied_logits(h, state["embeddings.word"], state["mlm.bias"], tape)
 
 
-def encoder_config_to_dict(cfg: EncoderConfig) -> dict:
-    return {
-        "n_layers": cfg.n_layers,
-        "d_model": cfg.d_model,
-        "d_ff": cfg.d_ff,
-        "vocab_size": cfg.vocab_size,
-        "max_positions": cfg.max_positions,
-        "mixing": cfg.mixing.label,
-        "n_token_types": cfg.n_token_types,
-        "layer_norm_eps": cfg.layer_norm_eps,
-    }
-
-
-def encoder_config_from_dict(data: dict) -> EncoderConfig:
-    try:
-        fields = dict(data)
-        fields["mixing"] = MixingKind.from_label(fields["mixing"])
-        return EncoderConfig(**fields)
-    except (KeyError, TypeError, ValueError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"bad encoder config: {exc}") from exc
+# The JSON form of an EncoderConfig, as run configs and checkpoint headers store it.
+encoder_config_to_dict = asdict
 
 
 def state_from_arrays(cfg: EncoderConfig, arrays: dict) -> EncoderState:
@@ -209,7 +195,7 @@ def swap_mixing(checkpoint, new_kind: MixingKind):
     Works because mixing contributes no parameters: the named set is identical
     across kinds. Returns the rewritten config together with the state.
     """
-    cfg = encoder_config_from_dict(checkpoint.config)
+    cfg = build_config(EncoderConfig, checkpoint.config, "checkpoint encoder config")
     new_cfg = replace(cfg, mixing=new_kind)
     state = state_from_arrays(new_cfg, checkpoint.arrays)
     return new_cfg, state

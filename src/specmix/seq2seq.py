@@ -68,7 +68,7 @@ class GenerationConfig:
     no_repeat_ngram: int = 2
     beam_size: int = 1
     eos_id: int = EOS_ID
-    bos_id: int = BOS_ID
+    bos_id = BOS_ID  # not a field: seq2seq_loss always trains with BOS_ID at position 0
 
     def __post_init__(self):
         for field, low in (("max_input_len", 1), ("max_target_len", 1), ("beam_size", 1),
@@ -76,9 +76,8 @@ class GenerationConfig:
             value = getattr(self, field)
             if not is_int(value) or value < low:
                 raise ConfigError(f"GenerationConfig.{field} must be an integer >= {low}")
-        for field in ("eos_id", "bos_id"):
-            if not is_int(getattr(self, field)):
-                raise ConfigError(f"GenerationConfig.{field} must be an integer")
+        if not is_int(self.eos_id):
+            raise ConfigError("GenerationConfig.eos_id must be an integer")
 
 
 def decoder_param_shapes(cfg: DecoderConfig) -> dict:

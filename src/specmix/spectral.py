@@ -42,26 +42,17 @@ __all__ = [
 ]
 
 
-class MixingKind(enum.Enum):
-    """Real-valued projection applied to the 2D spectrum during mixing."""
+class MixingKind(str, enum.Enum):
+    """Real-valued projection applied to the 2D spectrum during mixing.
+
+    Each member is its own JSON label, so configs store and compare it as a string.
+    """
 
     FOURIER_REAL = "fourier-real"   # Re(F)
     HARTLEY = "hartley"             # Re(F) - Im(F)
     FOURIER_IMAG = "fourier-imag"   # Im(F)
     MODULUS = "modulus"             # |F|
     PHASE = "phase"                 # atan2(Im F, Re F)
-
-    @property
-    def label(self) -> str:
-        return self.value
-
-    @classmethod
-    def from_label(cls, label: str) -> "MixingKind":
-        for kind in cls:
-            if kind.value == label:
-                return kind
-        valid = ", ".join(k.value for k in cls)
-        raise ValueError(f"unknown mixing kind {label!r}; expected one of: {valid}")
 
     @property
     def is_linear(self) -> bool:

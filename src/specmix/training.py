@@ -71,20 +71,21 @@ def pack_corpus(docs, max_seq_len: int) -> PackedDataset:
 
 @dataclass(frozen=True)
 class MaskingPolicy:
+    """Of the selected positions, mask_token_frac become [MASK], random_frac a
+    random token, and the rest (1 - both) keep their token."""
+
     mask_prob: float = 0.15
     mask_token_frac: float = 0.8
     random_frac: float = 0.1
-    keep_frac: float = 0.1
 
     def __post_init__(self):
         # mask_prob 0 is allowed as the explicit no-op policy.
         if not is_real(self.mask_prob) or not 0.0 <= self.mask_prob < 1.0:
             raise ConfigError("MaskingPolicy.mask_prob must be a finite number in [0, 1)")
-        fracs = (self.mask_token_frac, self.random_frac, self.keep_frac)
-        if (not all(is_real(f) and f >= 0 for f in fracs)
-                or abs(sum(fracs) - 1.0) > 1e-9):
-            raise ConfigError("MaskingPolicy mask/random/keep fractions must be finite, "
-                              "nonnegative and sum to 1")
+        fracs = (self.mask_token_frac, self.random_frac)
+        if not all(is_real(f) and f >= 0 for f in fracs) or sum(fracs) > 1.0 + 1e-9:
+            raise ConfigError("MaskingPolicy mask_token_frac and random_frac must be finite, "
+                              "nonnegative and sum to at most 1")
 
 
 def apply_mlm_mask(slice_ids, policy: MaskingPolicy, rng,
@@ -303,11 +304,14 @@ def train_seq2seq(state, pairs, steps: int, seed: int, optimizer: AdamW | None =
                   batch_size: int = 4, val_pairs=None, patience: int | None = None) -> list:
     """Teacher-forced fine-tuning; optional epoch-level early stopping.
 
-    With patience and val_pairs set, the mean validation loss is computed
-    at the end of every step that completes an epoch of pairs.
+    With patience set, the mean loss over val_pairs (which must then be
+    non-empty) is computed at the end of every step that completes an epoch
+    of pairs.
     """
     if not pairs:
         raise TrainingError("empty pair set")
+    if patience is not None and not val_pairs:
+        raise ConfigError("patience needs validation pairs: early stopping watches their loss")
     stopper = EarlyStopper(patience) if patience is not None else None
 
     def example_loss(idx, tape):
@@ -321,7 +325,7 @@ def train_seq2seq(state, pairs, steps: int, seed: int, optimizer: AdamW | None =
 
     return _train(state.named_params, len(pairs), example_loss, lambda step: batch_size,
                   steps, seed, optimizer,
-                  stop_after if stopper is not None and val_pairs else None)
+                  stop_after if stopper is not None else None)
 
 
 def read_jsonl(path, fields) -> list:
@@ -357,23 +361,17 @@ def read_jsonl(path, fields) -> list:
     return rows
 
 
-def load_corpus_jsonl(path, tokenizer: ByteTokenizer | None = None) -> list:
-    """One {"text": ...} object per line -> list of token-id arrays."""
-    tokenizer = tokenizer if tokenizer is not None else ByteTokenizer()
+def load_corpus_jsonl(path) -> list:
+    """One {"text": ...} object per line -> list of byte-token id arrays."""
+    tokenizer = ByteTokenizer()
     return [tokenizer.encode(text) for _, text in read_jsonl(path, ("text",))]
 
 
-def load_pairs_jsonl(path, tokenizer: ByteTokenizer | None = None,
-                     append_eos: bool = True) -> list:
+def load_pairs_jsonl(path) -> list:
     """One {"source","target"} object per line -> (source_ids, target_ids) pairs.
 
     Targets get a terminal eos so trained models learn to stop generating.
     """
-    tokenizer = tokenizer if tokenizer is not None else ByteTokenizer()
-    pairs = []
-    for _, source, target in read_jsonl(path, ("source", "target")):
-        tgt = tokenizer.encode(target)
-        if append_eos:
-            tgt = np.concatenate((tgt, [tokenizer.eos_id]))
-        pairs.append((tokenizer.encode(source), tgt))
-    return pairs
+    tokenizer = ByteTokenizer()
+    return [(tokenizer.encode(source), np.append(tokenizer.encode(target), tokenizer.eos_id))
+            for _, source, target in read_jsonl(path, ("source", "target"))]

@@ -344,8 +344,8 @@ def test_criterion_6_mlm_smoke_training(verdict):
             losses = [row.loss for row in trace]
             first = float(np.mean(losses[:20]))
             last = float(np.mean(losses[-20:]))
-            assert last <= 0.5 * first, f"{kind.label}: {last:.3f} vs {first:.3f}"
-            ratios.append(f"{kind.label} {last / first:.2f}")
+            assert last <= 0.5 * first, f"{kind.value}: {last:.3f} vs {first:.3f}"
+            ratios.append(f"{kind.value} {last / first:.2f}")
         _, _, again = run_mlm_smoke(MixingKind.HARTLEY, dataset)
         _, _, once = run_mlm_smoke(MixingKind.HARTLEY, dataset)
         assert once == again, "identical runs must produce identical traces"

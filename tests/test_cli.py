@@ -1,6 +1,7 @@
 """End-to-end command-line runs against tiny models in a temp directory."""
 
 import csv
+import hashlib
 import json
 from types import SimpleNamespace
 
@@ -9,8 +10,9 @@ import pytest
 
 from specmix.checkpoint import load_checkpoint, save_checkpoint
 from specmix.cli import _load_seq2seq_checkpoint, main
-from specmix.encoder import count_params, encoder_config_from_dict, state_from_arrays
+from specmix.encoder import EncoderConfig, count_params, state_from_arrays
 from specmix.seq2seq import GenerationConfig, generate
+from specmix.spectral import MixingKind
 from specmix.training import ByteTokenizer
 
 BASELINE_MICRO = [71.2, 79.7, 68.3, 71.4, 87.6, 95.6, 70.8]
@@ -43,9 +45,8 @@ def write_config(path, *, steps, seed, paths, encoder=None, decoder=None,
         "training": {
             "steps": steps,
             "seed": seed,
-            "batch_size": batch_size,
             "optimizer": {"base_lr": base_lr, "warmup_steps": warmup},
-            "schedule": [[None, 4]],
+            "schedule": [[None, batch_size]],
         },
         "paths": paths,
     }
@@ -108,8 +109,8 @@ class TestTrainMlm:
 
     def test_checkpoint_loads_and_forward_passes(self, workdir):
         ckpt = load_checkpoint(workdir.checkpoint)
-        cfg = encoder_config_from_dict(ckpt.config)
-        assert cfg.mixing.label == "hartley"
+        cfg = EncoderConfig(**ckpt.config)
+        assert cfg.mixing is MixingKind.HARTLEY
         state = state_from_arrays(cfg, ckpt.arrays)
         from specmix.encoder import encoder_forward, mlm_logits
         out = mlm_logits(cfg, state, encoder_forward(cfg, state, np.arange(8) + 5))
@@ -208,10 +209,10 @@ class TestTrainMlm:
 
 # config key -> a mistyped or out-of-range value, and what the one error line must name
 MISTYPED_CONFIG = [
-    ("training.batch_size", "4", "training.batch_size"),
-    ("training.batch_size", None, "training.batch_size"),
-    ("training.batch_size", 2.5, "training.batch_size"),
-    ("training.batch_size", True, "training.batch_size"),
+    ("training.schedule", "4", "training.schedule"),
+    ("training.schedule", [[None, None]], "training.schedule"),
+    ("training.schedule", [[None, 2.5]], "training.schedule"),
+    ("training.schedule", [[None, True]], "training.schedule"),
     ("training.schedule", [[None, "4"]], "batch_size"),
     ("training.schedule", [[2.5, 4], [None, 4]], "until_step"),
     ("training.patience", 1.5, "training.patience"),
@@ -230,6 +231,10 @@ MISTYPED_CONFIG = [
     ("model.decoder.layer_norm_eps", float("nan"), "DecoderConfig.layer_norm_eps"),
     ("model.decoder.n_heads", "2", "DecoderConfig.n_heads"),
     ("model.generation.beam_size", 2.5, "GenerationConfig.beam_size"),
+    ("training.batch_size", 16, "batch_size"),
+    ("model.generation.bos_id", 77, "bos_id"),
+    ("training.masking.random_frac", 0.5, "MaskingPolicy"),
+    ("model.encoder.mixing", "hartly", "fourier-real, hartley"),
 ]
 
 
@@ -308,6 +313,24 @@ class TestResume:
         assert set(before) == set(after)
         for name in before:
             assert before[name].tobytes() == after[name].tobytes()
+
+    def test_model_encoder_must_match_checkpoint(self, workdir, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path / "wide.json",
+            steps=2,
+            seed=0,
+            encoder=dict(ENCODER_DICT, n_layers=3, d_model=64),
+            paths={
+                "corpus": str(workdir.corpus),
+                "checkpoint_in": str(workdir.checkpoint),
+                "checkpoint_out": str(tmp_path / "out.spmx"),
+            },
+        )
+        assert main(["resume", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {workdir.checkpoint} encoder config differs from model.encoder in: "
+            "n_layers, d_model"]
+        assert not (tmp_path / "out.spmx").exists()
 
     def test_corrupted_crc_refused(self, workdir, tmp_path, capsys):
         broken = tmp_path / "broken.spmx"
@@ -490,6 +513,27 @@ class TestFinetuneWarmStart:
         word = warm["encoder.embeddings.word"]
         assert word.tobytes() == pretrained["embeddings.word"].tobytes()
 
+    def test_mixing_swap_is_reported(self, workdir, tmp_path, capsys):
+        pairs = tmp_path / "pairs.jsonl"
+        write_jsonl(pairs, [{"source": "ab", "target": "ab"}])
+        decoder = {"n_layers": 1, "d_model": 16, "d_ff": 32, "n_heads": 2,
+                   "vocab_size": 261, "max_positions": 16}
+        cfg = write_config(
+            tmp_path / "swap.json",
+            steps=0,
+            seed=5,
+            encoder=dict(ENCODER_DICT, mixing="phase"),  # checkpoint is hartley
+            decoder=decoder,
+            paths={
+                "pairs": str(pairs),
+                "checkpoint_in": str(workdir.checkpoint),
+                "checkpoint_out": str(tmp_path / "swap.spmx"),
+            },
+        )
+        assert main(["finetune", "--config", str(cfg)]) == 0
+        assert "mixing swapped hartley -> phase" in capsys.readouterr().out
+        assert load_checkpoint(tmp_path / "swap.spmx").config["encoder"]["mixing"] == "phase"
+
     def test_architecture_mismatch_rejected(self, workdir, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
         write_jsonl(pairs, [{"source": "ab", "target": "ab"}])
@@ -510,6 +554,92 @@ class TestFinetuneWarmStart:
         )
         assert main(["finetune", "--config", str(cfg)]) == 1
         assert "n_layers" in capsys.readouterr().err
+
+
+class TestFinetuneTrainingKeys:
+    """finetune reads its batch from training.schedule and stops early only on val_pairs."""
+
+    def run(self, tmp_path, schedule, **extra_training):
+        pairs = tmp_path / "pairs.jsonl"
+        write_jsonl(pairs, [{"source": s, "target": s} for s in COPY_SOURCES[:4]])
+        cfg = tmp_path / "ft.json"
+        cfg.write_text(json.dumps({
+            "model": {"encoder": dict(ENCODER_DICT, n_layers=1),
+                      "decoder": {"n_layers": 1, "d_model": 16, "d_ff": 32, "n_heads": 2,
+                                  "vocab_size": 261, "max_positions": 16}},
+            "training": {"steps": 3, "seed": 0, "schedule": schedule, **extra_training},
+            "paths": {"pairs": str(pairs), "checkpoint_out": str(tmp_path / "ft.spmx"),
+                      "loss_csv": str(tmp_path / "ft.csv")},
+        }))
+        return main(["finetune", "--config", str(cfg)])
+
+    def test_schedule_sets_the_batch(self, tmp_path):
+        assert self.run(tmp_path, [[None, 1]]) == 0
+        _, rows = read_trace(tmp_path / "ft.csv")
+        assert [r[2] for r in rows] == [1, 1, 1]
+
+    @pytest.mark.parametrize("schedule, extra, names", [
+        ([[2, 1], [None, 4]], {}, "training.schedule"),
+        ([[None, 2]], {"patience": 2}, "patience"),
+    ])
+    def test_ignored_key_is_one_error_line(self, schedule, extra, names, tmp_path, capsys):
+        assert self.run(tmp_path, schedule, **extra) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and names in lines[0]
+        assert not (tmp_path / "ft.spmx").exists()
+
+
+class TestCheckpointHeaders:
+    @pytest.mark.parametrize("decoder, names", [
+        (5, "decoder (DecoderConfig) must be an object"),
+        ({"n_layers": 1, "heads": 2}, "decoder (DecoderConfig): unknown key(s): heads"),
+    ])
+    def test_bad_decoder_header_names_the_checkpoint(self, decoder, names, seq2seq_run,
+                                                     tmp_path, capsys):
+        ckpt = load_checkpoint(seq2seq_run.checkpoint)
+        odd = tmp_path / "odd.spmx"
+        save_checkpoint(odd, dict(ckpt.config, decoder=decoder), ckpt.arrays)
+        data = json.loads(seq2seq_run.gen_config.read_text())
+        data["paths"].update(checkpoint_in=str(odd), output=str(tmp_path / "g.jsonl"))
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["generate", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {odd}") and names in lines[0]
+        assert not (tmp_path / "g.jsonl").exists()
+
+    def test_checkpoint_bytes(self, tmp_path):
+        """Checkpoints written by train-mlm, resume and finetune are pinned byte for byte."""
+        encoder = {"n_layers": 1, "d_model": 8, "d_ff": 16, "vocab_size": 261,
+                   "max_positions": 16, "mixing": "phase"}
+        decoder = {"n_layers": 1, "d_model": 8, "d_ff": 16, "n_heads": 2, "vocab_size": 261,
+                   "max_positions": 16}
+        corpus = tmp_path / "corpus.jsonl"
+        write_jsonl(corpus, [{"text": "abcdefgh" * 4}])
+        pairs = tmp_path / "pairs.jsonl"
+        write_jsonl(pairs, [{"source": "ab", "target": "ab"}])
+        enc_ckpt = tmp_path / "enc.spmx"
+
+        def digest(argv, model, paths, out):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"model": model, "training": {"steps": 2, "seed": 5},
+                                       "paths": dict(paths, checkpoint_out=str(out))}))
+            assert main([*argv, "--config", str(cfg)]) == 0
+            return hashlib.sha256(out.read_bytes()).hexdigest()
+
+        assert digest(["train-mlm"], {"encoder": encoder}, {"corpus": str(corpus)},
+                      enc_ckpt) == (
+            "3c4b495becaddfb3f895c0e4f62ab5395642f4347c5aba67cfb0ee48dc7eb02c")
+        assert digest(["resume", "--mixing", "hartley"], {"encoder": encoder},
+                      {"corpus": str(corpus), "checkpoint_in": str(enc_ckpt)},
+                      tmp_path / "resumed.spmx") == (
+            "b9097e36e699b7d29e99a696bc573dd92536baff78f21ef0b830ca93334f56e0")
+        assert digest(["finetune"], {"encoder": encoder, "decoder": decoder},
+                      {"pairs": str(pairs), "checkpoint_in": str(enc_ckpt)},
+                      tmp_path / "s2s.spmx") == (
+            "93460e352948f6abda05c125f15672abbab3b1fbd78df97b903a97b8a58c8d95")
 
 
 class TestEvaluate:
@@ -643,5 +773,5 @@ class TestCountParams:
         )
         assert main(["count-params", "--config", str(cfg)]) == 0
         out = capsys.readouterr().out
-        expected = count_params(encoder_config_from_dict(ENCODER_DICT))
+        expected = count_params(EncoderConfig(**ENCODER_DICT))
         assert f"parameters: {expected:,}" in out

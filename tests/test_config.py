@@ -51,7 +51,6 @@ def full_dict():
         "training": {
             "steps": 20,
             "seed": 3,
-            "batch_size": 2,
             "patience": 3,
             "masking": {"mask_prob": 0.2},
             "optimizer": {"base_lr": 1e-3, "warmup_steps": 5},
@@ -73,7 +72,7 @@ class TestParsing:
         assert cfg.optimizer == ()
         assert cfg.schedule == ((None, 4),)
         assert (cfg.steps, cfg.seed) == (10, 7)
-        assert (cfg.batch_size, cfg.patience) == (4, None)
+        assert cfg.patience is None
         assert cfg.path("corpus") is None
 
     def test_full_config(self):

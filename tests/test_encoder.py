@@ -1,5 +1,6 @@
 """Encoder state layout, parameter counts, forward semantics, and full-model grads."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +12,6 @@ from specmix.encoder import (
     EncoderConfig,
     base_encoder_config,
     count_params,
-    encoder_config_from_dict,
     encoder_config_to_dict,
     encoder_forward,
     init_encoder_state,
@@ -20,7 +20,7 @@ from specmix.encoder import (
     param_shapes,
     swap_mixing,
 )
-from specmix.errors import CheckpointError, ConfigError, ShapeError
+from specmix.errors import CheckpointError, ConfigError, ShapeError, build_config
 from specmix.nn import Node, Tape
 from specmix.rng import SplitRng
 from specmix.spectral import MixingKind, dft_naive
@@ -49,13 +49,18 @@ class TestEncoderConfig:
         with pytest.raises(ConfigError):
             tiny_cfg(layer_norm_eps=0.0)
 
-    def test_rejects_plain_string_mixing(self):
-        with pytest.raises(ConfigError):
-            tiny_cfg(mixing="hartley")
+    def test_label_is_stored_as_its_member(self):
+        assert tiny_cfg(mixing="hartley").mixing is MixingKind.HARTLEY
+
+    def test_unknown_label_lists_the_kinds(self):
+        with pytest.raises(ConfigError, match="'hartly' is not one of: fourier-real, hartley"):
+            tiny_cfg(mixing="hartly")
 
     def test_round_trips_through_dict(self):
         cfg = tiny_cfg(mixing=MixingKind.PHASE)
-        assert encoder_config_from_dict(encoder_config_to_dict(cfg)) == cfg
+        data = json.loads(json.dumps(encoder_config_to_dict(cfg)))
+        assert data["mixing"] == "phase"
+        assert build_config(EncoderConfig, data, "encoder") == cfg
 
     def test_base_values(self):
         cfg = base_encoder_config()

@@ -93,7 +93,7 @@ class TestMaskingPolicy:
     def test_defaults(self):
         p = MaskingPolicy()
         assert p.mask_prob == 0.15
-        assert p.mask_token_frac + p.random_frac + p.keep_frac == 1.0
+        assert (p.mask_token_frac, p.random_frac) == (0.8, 0.1)  # the other 0.1 keep their token
 
     def test_zero_prob_allowed(self):
         MaskingPolicy(mask_prob=0.0)
@@ -104,11 +104,11 @@ class TestMaskingPolicy:
 
     def test_fractions_must_sum_to_one(self):
         with pytest.raises(ConfigError):
-            MaskingPolicy(mask_token_frac=0.8, random_frac=0.3, keep_frac=0.1)
+            MaskingPolicy(mask_token_frac=0.8, random_frac=0.3)
 
     def test_negative_fraction_rejected(self):
         with pytest.raises(ConfigError):
-            MaskingPolicy(mask_token_frac=1.2, random_frac=-0.3, keep_frac=0.1)
+            MaskingPolicy(mask_token_frac=1.2, random_frac=-0.3)
 
 
 class TestApplyMlmMask:
@@ -355,6 +355,12 @@ class TestTrainSeq2seq:
                               batch_size=4)
         assert np.mean([r.loss for r in trace[-5:]]) < np.mean([r.loss for r in trace[:5]])
 
+    @pytest.mark.parametrize("val_pairs", [None, []])
+    def test_patience_needs_validation_pairs(self, val_pairs):
+        state = init_seq2seq_state(ENC, DEC, SplitRng(0))
+        with pytest.raises(ConfigError, match="patience"):
+            train_seq2seq(state, copy_pairs(), steps=1, seed=0, val_pairs=val_pairs, patience=2)
+
     def test_early_stopping_on_flat_validation(self):
         # A zero learning rate pins the validation loss, so the best never
         # improves after epoch 1 and patience 2 stops the run at epoch 3.
@@ -425,12 +431,6 @@ class TestLoaders:
         assert TOK.decode(src) == "ab"
         assert tgt[-1] == TOK.eos_id
         assert TOK.decode(tgt) == "cd"
-
-    def test_pairs_no_eos_option(self, tmp_path):
-        path = tmp_path / "pairs.jsonl"
-        path.write_text('{"source": "ab", "target": "cd"}\n', encoding="utf-8")
-        (_, tgt), = load_pairs_jsonl(path, append_eos=False)
-        assert tgt[-1] != TOK.eos_id
 
     def test_pairs_missing_field(self, tmp_path):
         path = tmp_path / "bad.jsonl"
