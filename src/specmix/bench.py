@@ -11,7 +11,9 @@ The mixing workloads time just the transform because that is all the mixing
 sub-layer executes; the attention baseline includes its projections because
 attention cannot run without them. Reported numbers are 1 / the median of
 `repeats` samples of seconds per call, after `warmup` discarded calls,
-single-threaded (BLAS pools are clamped when threadpoolctl is available). A
+single-threaded (BLAS pools are clamped when threadpoolctl is available;
+otherwise only the thread variables in the environment hold them, and
+`specmix bench` warns). A
 sample is the mean over as many calls as add up to MIN_SAMPLE_S of timed
 work. The three workloads of one length take one sample each per round, their
 calls interleaved one by one, so a drift in host speed falls on all of them
@@ -24,6 +26,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import os
 import time
 from dataclasses import dataclass
 
@@ -50,12 +53,31 @@ class BenchResult:
     speedup_vs_baseline: float
 
 
-def _single_thread():
+# Environment variables that set the BLAS thread count when nothing clamps it.
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _threadpool_limits():
+    """threadpoolctl's threadpool_limits, or None when it is not installed."""
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        return contextlib.nullcontext()
-    return threadpool_limits(limits=1)
+        return None
+    return threadpool_limits
+
+
+def _single_thread():
+    limits = _threadpool_limits()
+    return contextlib.nullcontext() if limits is None else limits(limits=1)
+
+
+def unclamped_blas_warning() -> str | None:
+    """Why a bench's BLAS may run more than one thread, or None when it is clamped."""
+    if _threadpool_limits() is not None:
+        return None
+    found = [f"{var}={os.environ[var]}" for var in THREAD_VARS if var in os.environ]
+    return ("threadpoolctl is not installed, so BLAS is not clamped to one thread; "
+            f"thread variables set: {', '.join(found) or 'none'}")
 
 
 def _attention_params(d_model: int, rng: SplitRng) -> AttentionParams:

@@ -17,7 +17,12 @@ import math
 import os
 import sys
 
-from .bench import bench_mixing_vs_attention, results_csv, results_markdown
+from .bench import (
+    bench_mixing_vs_attention,
+    results_csv,
+    results_markdown,
+    unclamped_blas_warning,
+)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
 from .encoder import (
@@ -133,6 +138,9 @@ def cmd_train_mlm(args) -> int:
     A resumed run restarts the optimizer moments at zero.
     """
     cfg = _require_config(args)
+    if cfg.patience is not None:
+        raise ConfigError(f"training.patience is read only by finetune: "
+                          f"{args.command} does not stop early")
     corpus = _require_input(cfg, "corpus", args.command)
     out = _out_path(cfg, args, "checkpoint_out")
     if args.command == "resume":
@@ -154,6 +162,12 @@ def cmd_finetune(args) -> int:
     if until is not None or later:
         raise ConfigError("finetune needs training.schedule to be one open-ended phase "
                           "[[null, batch]]: early stopping counts epochs at a constant batch")
+    if cfg.masking is not None:
+        raise ConfigError("training.masking is read only by train-mlm and resume: "
+                          "finetune does not mask tokens")
+    if cfg.path("val_pairs") is not None and cfg.patience is None:
+        raise ConfigError("paths.val_pairs is read only for early stopping: "
+                          "finetune needs training.patience with it")
     pairs_path = _require_input(cfg, "pairs", "finetune")
     out = _out_path(cfg, args, "checkpoint_out")
     state = init_seq2seq_state(cfg.encoder, cfg.decoder, SplitRng(cfg.seed))
@@ -264,6 +278,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bench(args) -> int:
     seq_lens = [int(part) for part in args.seq_lens.split(",") if part.strip()]
+    warning = unclamped_blas_warning()
+    if warning is not None:
+        print(f"warning: {warning}", file=sys.stderr)
     results = bench_mixing_vs_attention(
         seq_lens,
         d_model=args.d_model,

@@ -20,8 +20,10 @@ and training.AdamW, which check their values and supply the defaults of the
 keys left out; errors.build_config reads all five. "training.schedule" sets
 the batch size: pretraining follows its phases, and fine-tuning, whose early
 stopping counts epochs at a constant batch, takes exactly one open-ended
-phase [[null, batch]]. Parsing and serialization are inverses, so a config
-round-trips losslessly.
+phase [[null, batch]]. "training.masking" is read only by pretraining and
+"training.patience" (with "paths.val_pairs") only by fine-tuning; the CLI
+rejects a config that gives a command a training key it would ignore.
+Parsing and serialization are inverses, so a config round-trips losslessly.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class RunConfig:
     encoder: EncoderConfig
     decoder: DecoderConfig | None = None
     generation: GenerationConfig | None = None
-    masking: MaskingPolicy = MaskingPolicy()
+    masking: MaskingPolicy | None = None
     optimizer: tuple = ()
     schedule: tuple = ((None, 4),)
     steps: int = 0
@@ -109,7 +111,8 @@ def parse_run_config(data: dict) -> RunConfig:
             raise ConfigError(f"training.{key} is required")
         if not is_int(training[key]) or training[key] < 0:
             raise ConfigError(f"training.{key} must be an integer >= 0")
-    masking = build_config(MaskingPolicy, training.get("masking", {}), "training.masking")
+    masking = (build_config(MaskingPolicy, training["masking"], "training.masking")
+               if "masking" in training else None)
     optimizer = training.get("optimizer", {})
     build_config(AdamW, optimizer, "training.optimizer")  # delegate key and value validation
     schedule = _parse_schedule(training.get("schedule", [[None, 4]]), "training.schedule")
@@ -142,18 +145,16 @@ def run_config_to_dict(cfg: RunConfig) -> dict:
         model["decoder"] = dataclasses.asdict(cfg.decoder)
     if cfg.generation is not None:
         model["generation"] = dataclasses.asdict(cfg.generation)
-    return {
-        "model": model,
-        "training": {
-            "masking": dataclasses.asdict(cfg.masking),
-            "optimizer": dict(cfg.optimizer),
-            "schedule": [[until, batch] for until, batch in cfg.schedule],
-            "steps": cfg.steps,
-            "seed": cfg.seed,
-            "patience": cfg.patience,
-        },
-        "paths": dict(cfg.paths),
+    training = {
+        "optimizer": dict(cfg.optimizer),
+        "schedule": [[until, batch] for until, batch in cfg.schedule],
+        "steps": cfg.steps,
+        "seed": cfg.seed,
+        "patience": cfg.patience,
     }
+    if cfg.masking is not None:
+        training["masking"] = dataclasses.asdict(cfg.masking)
+    return {"model": model, "training": training, "paths": dict(cfg.paths)}
 
 
 def load_run_config(path) -> RunConfig:

@@ -40,8 +40,11 @@ class Node:
 
     def add_grad(self, g) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.value)
-        self.grad += g
+            # a copy: later cotangents add in place, and g may be a read-only
+            # view or shared with another node (add hands one g to both inputs)
+            self.grad = np.array(g, dtype=np.float64)
+        else:
+            self.grad += g
 
 
 class Parameter(Node):
@@ -147,7 +150,9 @@ def linear(x: Node, w: Node, b: Node, tape: Tape | None) -> Node:
         raise ShapeError(
             f"linear: bias shape {b.value.shape} does not match weight shape {w.value.shape}"
         )
-    out = Node(x.value @ w.value + b.value)
+    y = x.value @ w.value
+    y += b.value
+    out = Node(y)
 
     def backward(g):
         lead = x.value.reshape(-1, x.value.shape[-1])
@@ -163,11 +168,14 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float, tape: Tape | None) 
     """Normalize the last axis to zero mean / unit population variance, then scale-shift."""
     v = x.value
     mean = v.mean(axis=-1, keepdims=True)
-    centered = v - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = v - mean  # centered here, normalized in place below
+    y = xhat * xhat  # squares here, the output below
+    var = y.mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    out = Node(xhat * gamma.value + beta.value)
+    xhat *= inv_std
+    np.multiply(xhat, gamma.value, out=y)
+    y += beta.value
+    out = Node(y)
 
     def backward(g):
         lead = (-1, v.shape[-1])
@@ -186,7 +194,11 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float, tape: Tape | None) 
 def gelu(x: Node, tape: Tape | None) -> Node:
     """Exact GELU, x * Phi(x) with the erf-based normal CDF."""
     v = x.value
-    cdf = 0.5 * (1.0 + erf(v * _INV_SQRT2))
+    # one buffer for the CDF; out= keeps a 0-d input an array that erf can write
+    cdf = np.multiply(v, _INV_SQRT2, out=np.empty_like(v))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     out = Node(v * cdf)
 
     def backward(g):

@@ -1,0 +1,34 @@
+"""The BENCH_<n>.json writer's numbering and summary, without running the benchmark."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_trajectory.py"
+
+
+@pytest.fixture
+def trajectory():
+    spec = importlib.util.spec_from_file_location("bench_trajectory", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_files_are_numbered_in_order_and_name_their_parent(trajectory, monkeypatch, tmp_path):
+    monkeypatch.setattr(trajectory, "ROOT", tmp_path)
+    assert trajectory.next_file() == (tmp_path / "BENCH_0.json", None)
+    for n in (0, 1, 10):
+        (tmp_path / f"BENCH_{n}.json").write_text("{}")
+    (tmp_path / "BENCH_x.json").write_text("{}")
+    assert trajectory.next_file() == (tmp_path / "BENCH_11.json", "BENCH_10.json")
+
+
+def test_summary_is_median_and_interquartile_range(trajectory):
+    runs = [{"metrics": {"peak_rss_mb": v}} for v in (80.0, 90.0, 82.0, 84.0)]
+    got = trajectory.summarize(runs, {"peak_rss_mb": "MB"})["peak_rss_mb"]
+    assert got["unit"] == "MB"
+    assert got["median"] == 83.0
+    assert (got["q1"], got["q3"]) == (81.5, 85.5)
+    assert got["iqr"] == 4.0

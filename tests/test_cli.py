@@ -1,8 +1,11 @@
 """End-to-end command-line runs against tiny models in a temp directory."""
 
+import contextlib
 import csv
 import hashlib
 import json
+import sys
+import types
 from types import SimpleNamespace
 
 import numpy as np
@@ -266,6 +269,25 @@ def test_mistyped_config_integer_is_one_error_line(key, value, names, tmp_path, 
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:")
     assert names in lines[0]
+    assert not (tmp_path / "out.spmx").exists()
+
+
+@pytest.mark.parametrize("command", ["train-mlm", "resume"])
+def test_pretraining_rejects_patience(command, workdir, tmp_path, capsys):
+    """Pretraining never stops early, so training.patience is an error, not a no-op."""
+    cfg = write_config(tmp_path / "cfg.json", steps=2, seed=0, paths={
+        "corpus": str(workdir.corpus),
+        "checkpoint_in": str(workdir.checkpoint),
+        "checkpoint_out": str(tmp_path / "out.spmx"),
+    })
+    data = json.loads(cfg.read_text())
+    data["training"]["patience"] = 2
+    cfg.write_text(json.dumps(data))
+    assert main([command, "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: training.patience")
     assert not (tmp_path / "out.spmx").exists()
 
 
@@ -559,7 +581,7 @@ class TestFinetuneWarmStart:
 class TestFinetuneTrainingKeys:
     """finetune reads its batch from training.schedule and stops early only on val_pairs."""
 
-    def run(self, tmp_path, schedule, **extra_training):
+    def run(self, tmp_path, schedule, extra_paths=(), **extra_training):
         pairs = tmp_path / "pairs.jsonl"
         write_jsonl(pairs, [{"source": s, "target": s} for s in COPY_SOURCES[:4]])
         cfg = tmp_path / "ft.json"
@@ -569,7 +591,8 @@ class TestFinetuneTrainingKeys:
                                   "vocab_size": 261, "max_positions": 16}},
             "training": {"steps": 3, "seed": 0, "schedule": schedule, **extra_training},
             "paths": {"pairs": str(pairs), "checkpoint_out": str(tmp_path / "ft.spmx"),
-                      "loss_csv": str(tmp_path / "ft.csv")},
+                      "loss_csv": str(tmp_path / "ft.csv"),
+                      **{key: str(pairs) for key in extra_paths}},
         }))
         return main(["finetune", "--config", str(cfg)])
 
@@ -581,12 +604,20 @@ class TestFinetuneTrainingKeys:
     @pytest.mark.parametrize("schedule, extra, names", [
         ([[2, 1], [None, 4]], {}, "training.schedule"),
         ([[None, 2]], {"patience": 2}, "patience"),
+        ([[None, 2]], {"masking": {"mask_prob": 0.3}}, "training.masking"),
+        ([[None, 2]], {"extra_paths": ("val_pairs",)}, "paths.val_pairs"),
     ])
     def test_ignored_key_is_one_error_line(self, schedule, extra, names, tmp_path, capsys):
         assert self.run(tmp_path, schedule, **extra) == 1
-        lines = capsys.readouterr().err.splitlines()
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and names in lines[0]
         assert not (tmp_path / "ft.spmx").exists()
+
+    def test_val_pairs_with_patience_trains(self, tmp_path):
+        assert self.run(tmp_path, [[None, 2]], extra_paths=("val_pairs",), patience=2) == 0
+        assert (tmp_path / "ft.spmx").exists()
 
 
 class TestCheckpointHeaders:
@@ -757,6 +788,36 @@ class TestBenchCommand:
     def test_bad_repeats(self, capsys):
         assert main(["bench", "--seq-lens", "8", "--repeats", "2"]) == 1
         assert "repeats" in capsys.readouterr().err
+
+    TINY = ["bench", "--seq-lens", "8", "--d-model", "8", "--n-heads", "2"]
+
+    def test_warns_when_blas_is_not_clamped(self, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # its import now fails
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "2")
+        assert main(self.TINY) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: threadpoolctl")
+        assert "OPENBLAS_NUM_THREADS=1, MKL_NUM_THREADS=2" in lines[0]
+        assert "OMP_NUM_THREADS" not in lines[0]
+
+    def test_warning_says_when_no_variable_is_set(self, monkeypatch, capsys):
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        assert main(self.TINY) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].endswith("thread variables set: none")
+
+    def test_no_warning_when_threadpoolctl_clamps(self, monkeypatch, capsys):
+        calls = []
+        fake = types.ModuleType("threadpoolctl")
+        fake.threadpool_limits = lambda limits: calls.append(limits) or contextlib.nullcontext()
+        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        assert main(self.TINY) == 0
+        assert capsys.readouterr().err == ""
+        assert calls == [1]
 
 
 class TestCountParams:

@@ -17,7 +17,6 @@ from specmix.encoder import EncoderConfig
 from specmix.errors import ConfigError
 from specmix.seq2seq import DecoderConfig, GenerationConfig
 from specmix.spectral import MixingKind
-from specmix.training import MaskingPolicy
 
 MINIMAL = {
     "model": {
@@ -68,7 +67,7 @@ class TestParsing:
             max_positions=32, mixing=MixingKind.HARTLEY,
         )
         assert cfg.decoder is None and cfg.generation is None
-        assert cfg.masking == MaskingPolicy()
+        assert cfg.masking is None  # train_mlm then masks by MaskingPolicy's defaults
         assert cfg.optimizer == ()
         assert cfg.schedule == ((None, 4),)
         assert (cfg.steps, cfg.seed) == (10, 7)

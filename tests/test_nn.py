@@ -27,6 +27,18 @@ class TestTapeAndNodes:
         assert np.array_equal(a.grad, [5.0, 7.0])
         assert np.array_equal(b.grad, [5.0, 7.0])
 
+    def test_first_cotangent_is_owned_not_aliased(self):
+        # add hands one cotangent (here the read-only seed view) to both of
+        # its inputs; each node must own a copy before the second one adds in.
+        x = Node([1.0, 2.0])
+        seed = np.array([5.0, 7.0])
+        tape = Tape()
+        out = nn.add(x, x, tape)
+        tape.backward(out, seed=seed)
+        assert np.array_equal(x.grad, [10.0, 14.0])
+        assert np.array_equal(out.grad, [5.0, 7.0])
+        assert np.array_equal(seed, [5.0, 7.0])
+
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError):
             nn.add(Node([1.0]), Node([1.0, 2.0]), None)
