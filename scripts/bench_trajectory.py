@@ -12,6 +12,12 @@ each run's metrics and digests, and the failed and attempted operation
 counts. It also records the provenance block perfbench prints (versions,
 CPU, BLAS threads in effect) and the measured commit.
 
+The ``training_memory`` block holds the traced (tracemalloc) peak of one MLM
+training step at each length in MEMORY_LENGTHS: Hartley mixing, 2 layers,
+d_model 768, d_ff 3072, byte vocabulary. It gives the forward pass's peak and
+the whole step's, each measured in a fresh process that imports the measured
+checkout's sources.
+
 Files are numbered in order in this repository's root: the first is
 BENCH_0.json, and each later one names the file before it as its parent.
 """
@@ -20,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -30,6 +37,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (7, 11, 13)
+MEMORY_LENGTHS = (4096, 8192)
+MEMORY_MODEL = {"n_layers": 2, "d_model": 768, "d_ff": 3072}
 
 
 def run_workload(checkout: Path, command: list, workload: str, seed: int,
@@ -52,6 +61,52 @@ def summarize(runs: list, units: dict) -> dict:
         metrics[name] = {"unit": unit, "median": statistics.median(values),
                          "q1": float(q1), "q3": float(q3), "iqr": float(q3 - q1)}
     return metrics
+
+
+def mlm_step_peaks(seq_len: int) -> dict:
+    """Traced peak MiB of one MEMORY_MODEL MLM step: its forward alone and the whole step.
+
+    Imports specmix from sys.path, so the measured checkout's sources must
+    lead it (training_memory runs this in such a process).
+    """
+    import tracemalloc
+
+    import specmix as sm
+
+    cfg = sm.EncoderConfig(**MEMORY_MODEL, vocab_size=sm.ByteTokenizer.vocab_size,
+                           max_positions=seq_len, mixing=sm.MixingKind.HARTLEY)
+    state = sm.init_encoder_state(cfg, sm.SplitRng(SEEDS[0]))
+    rng = sm.SplitRng(SEEDS[0]).split(1)
+    ids = rng.integers(sm.ByteTokenizer.n_specials, cfg.vocab_size, size=seq_len)
+    inputs, labels = sm.apply_mlm_mask(ids, sm.MaskingPolicy(), rng)
+    tracemalloc.start()
+    try:
+        tape = sm.Tape()
+        hidden = sm.encoder_forward(cfg, state, inputs, tape=tape)
+        loss = sm.nn.masked_cross_entropy(sm.mlm_logits(cfg, state, hidden, tape), labels, tape)
+        forward = tracemalloc.get_traced_memory()[1]
+        tape.backward(loss)
+        step = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"forward_peak_mib": forward / 2**20, "step_peak_mib": step / 2**20}
+
+
+def training_memory(checkout: Path) -> dict:
+    """mlm_step_peaks at each MEMORY_LENGTHS entry, each in a fresh process of the checkout."""
+    probe = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import bench_trajectory as b; "
+             "print(json.dumps(b.mlm_step_peaks(int(sys.argv[3]))))")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    lengths = {}
+    for seq_len in MEMORY_LENGTHS:
+        out = subprocess.run(
+            [sys.executable, "-c", probe, str(checkout / "src"), str(Path(__file__).parent),
+             str(seq_len)],
+            cwd=checkout, env=env, capture_output=True, text=True, check=True)
+        lengths[str(seq_len)] = json.loads(out.stdout)
+        print(f"training_memory L={seq_len}: {lengths[str(seq_len)]}", file=sys.stderr)
+    return {"model": {**MEMORY_MODEL, "mixing": "hartley", "vocab": "byte tokenizer"},
+            "unit": "MiB", "tool": "tracemalloc", "lengths": lengths}
 
 
 def next_file() -> tuple:
@@ -107,7 +162,8 @@ def main(argv=None) -> int:
 
     record = {"file": path.name, "parent": parent, "commit": commit_of(checkout),
               "seeds": list(SEEDS), "run_seconds": spec["run_seconds"],
-              "provenance": provenance, "workloads": workloads}
+              "provenance": provenance, "workloads": workloads,
+              "training_memory": training_memory(checkout)}
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path}")
     return 0

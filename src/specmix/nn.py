@@ -3,9 +3,20 @@
 There is no general expression-graph autodiff here: each operation computes
 its forward value, then (when a :class:`Tape` is supplied) records a closure
 ``backward(g)`` that receives the output cotangent ``g`` and propagates it to
-the op's inputs. ``Tape.backward`` walks the recorded closures in reverse and
-skips every closure whose output no cotangent reached. Ops called with
-``tape=None`` run forward only, which is the inference path.
+the op's inputs. ``Tape.backward`` pops the recorded closures in reverse and
+skips every closure whose output no cotangent reached. It consumes the tape:
+each closure, with the activations it captured and its output node's
+cotangent, is freed as soon as it has run, so a training step peaks near its
+forward pass instead of holding every activation until the tape is dropped.
+Ops called with ``tape=None`` run forward only, which is the inference path.
+
+Freeing mid-backward changes how the C allocator behaves. glibc's dynamic
+trim threshold settles near twice the largest array freed, so each free at
+the heap top hands memory back to the OS and the next cotangent faults it in
+again, page by page. Importing this module therefore fixes one allocator
+policy for the process: arrays up to 32 MiB come from the heap, and the heap
+is trimmed only once 64 MiB sit free at its top. Where the C library has no
+``mallopt`` the policy is skipped and only speed, not results, differs.
 
 Values are float64 ndarrays wrapped in :class:`Node`; trainable tensors are
 :class:`Parameter` nodes with a persistent gradient buffer that accumulates
@@ -15,6 +26,7 @@ per tape at a time; independent tapes are safe to run concurrently.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +39,23 @@ INIT_SCALE = 0.02
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+# glibc <malloc.h>; 32 MiB is glibc's own ceiling for its mmap threshold
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _set_allocator_policy() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
+_set_allocator_policy()
 
 
 class Node:
@@ -101,7 +130,7 @@ def params_from_arrays(shapes: dict, arrays: dict, what: str) -> dict:
 
 
 class Tape:
-    """Reverse-order record of backward closures for one forward pass."""
+    """Reverse-order record of backward closures for one forward pass, used up by backward."""
 
     __slots__ = ("_steps",)
 
@@ -112,10 +141,20 @@ class Tape:
         self._steps.append(fn)
 
     def backward(self, output: Node, seed=1.0) -> None:
-        """Seed the output cotangent and run all recorded closures in reverse."""
+        """Seed the output cotangent and pop and run the recorded closures in reverse.
+
+        This consumes the tape: each closure is dropped once it has run, which
+        frees what it captured, and a second call raises RuntimeError. The
+        module docstring says why freeing mid-backward needs nn's allocator
+        policy.
+        """
+        steps = self._steps
+        if steps is None:
+            raise RuntimeError("Tape.backward already ran on this tape; record a new tape")
+        self._steps = None
         output.add_grad(np.broadcast_to(np.asarray(seed, dtype=np.float64), output.value.shape))
-        for fn in reversed(self._steps):
-            fn()
+        while steps:
+            steps.pop()()
 
 
 def _record(tape: Tape | None, out: Node, backward) -> None:

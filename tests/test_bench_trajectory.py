@@ -32,3 +32,11 @@ def test_summary_is_median_and_interquartile_range(trajectory):
     assert got["median"] == 83.0
     assert (got["q1"], got["q3"]) == (81.5, 85.5)
     assert got["iqr"] == 4.0
+
+
+def test_training_memory_measures_each_length_in_a_fresh_process(trajectory, monkeypatch):
+    monkeypatch.setattr(trajectory, "MEMORY_LENGTHS", (32,))
+    got = trajectory.training_memory(trajectory.ROOT)
+    assert got["unit"] == "MiB" and got["model"]["n_layers"] == 2
+    peaks = got["lengths"]["32"]
+    assert 0 < peaks["forward_peak_mib"] <= peaks["step_peak_mib"]

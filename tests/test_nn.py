@@ -77,6 +77,24 @@ class TestTapeAndNodes:
         assert np.array_equal(x.grad, proj @ w1.value.T)
         assert np.array_equal(b1.grad, proj.sum(axis=0))
 
+    def test_backward_consumes_the_tape(self):
+        # Each closure is dropped once it has run, which frees what it captured.
+        x = Node([1.0, 2.0])
+        tape = Tape()
+        out = nn.gelu(nn.add(x, x, tape), tape)
+        tape.backward(out)
+        assert not tape._steps
+
+    def test_second_backward_raises(self):
+        # A used tape holds no closures; a rerun would seed only the output.
+        x = Node([1.0, 2.0])
+        tape = Tape()
+        out = nn.add(x, x, tape)
+        tape.backward(out)
+        with pytest.raises(RuntimeError, match="already ran"):
+            tape.backward(out)
+        assert np.array_equal(x.grad, [2.0, 2.0])
+
 
 class TestLinear:
     def test_identity(self):

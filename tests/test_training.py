@@ -1,8 +1,13 @@
 """Tokenizer, packing, masking, optimizer, schedules, and the training loop."""
 
+import ctypes
 import hashlib
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -322,6 +327,43 @@ ENC = EncoderConfig(n_layers=1, d_model=8, d_ff=16, vocab_size=261, max_position
                     mixing=MixingKind.HARTLEY)
 DEC = DecoderConfig(n_layers=1, d_model=8, d_ff=16, n_heads=2, vocab_size=261,
                     max_positions=16)
+
+
+# Five warm-up steps, then the minor page faults of 20 more, in a fresh process.
+FAULT_PROBE = """
+import resource
+import numpy as np
+from specmix.encoder import EncoderConfig, init_encoder_state
+from specmix.rng import SplitRng
+from specmix.spectral import MixingKind
+from specmix.training import AdamW, BatchSchedule, pack_corpus, train_mlm
+
+cfg = EncoderConfig(n_layers=2, d_model=64, d_ff=256, vocab_size=261, max_positions=128,
+                    mixing=MixingKind.HARTLEY)
+state = init_encoder_state(cfg, SplitRng(0))
+dataset = pack_corpus([np.random.default_rng(0).integers(5, 261, size=64 * 128)], 128)
+schedule, opt = BatchSchedule([(None, 8)]), AdamW(base_lr=1e-3, warmup_steps=0)
+train_mlm(cfg, state, dataset, schedule, 5, seed=0, optimizer=opt)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+train_mlm(cfg, state, dataset, schedule, 20, seed=1, optimizer=opt)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="the allocator policy needs the C library's mallopt")
+def test_training_steps_do_not_fault_memory_back_in():
+    # Backward frees arrays mid-step. Without nn's allocator policy glibc hands
+    # the freed heap top back to the OS and the next array faults it in again:
+    # about 221k minor faults over these 20 steps, against almost none with it.
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH"))
+        if p)
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 20_000
 
 
 def copy_pairs(n=4, length=5, seed=0):
