@@ -14,9 +14,12 @@ CPU, BLAS threads in effect) and the measured commit.
 
 The ``training_memory`` block holds the traced (tracemalloc) peak of one MLM
 training step at each length in MEMORY_LENGTHS: Hartley mixing, 2 layers,
-d_model 768, d_ff 3072, byte vocabulary. It gives the forward pass's peak and
-the whole step's, each measured in a fresh process that imports the measured
-checkout's sources.
+d_model 768, d_ff 3072, byte vocabulary. Its ``base_width`` block holds the
+same peaks for BASE_MODEL (``base_encoder_config``'s widths and 32000-token
+vocabulary) at each depth in BASE_LAYERS and length in BASE_LENGTHS, where
+the masked-token head's share of a step shows. Each peak pair (the forward
+pass's and the whole step's) is measured in a fresh process that imports the
+measured checkout's sources.
 
 Files are numbered in order in this repository's root: the first is
 BENCH_0.json, and each later one names the file before it as its parent.
@@ -39,6 +42,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (7, 11, 13)
 MEMORY_LENGTHS = (4096, 8192)
 MEMORY_MODEL = {"n_layers": 2, "d_model": 768, "d_ff": 3072}
+BASE_MODEL = {"d_model": 768, "d_ff": 3072, "vocab_size": 32000}
+BASE_LAYERS = (1, 2)
+BASE_LENGTHS = (1024, 2048)
 
 
 def run_workload(checkout: Path, command: list, workload: str, seed: int,
@@ -63,27 +69,30 @@ def summarize(runs: list, units: dict) -> dict:
     return metrics
 
 
-def mlm_step_peaks(seq_len: int) -> dict:
-    """Traced peak MiB of one MEMORY_MODEL MLM step: its forward alone and the whole step.
+def mlm_step_peaks(model: dict, seq_len: int) -> dict:
+    """Traced peak MiB of one MLM step of a Hartley model: its forward alone and the whole step.
 
-    Imports specmix from sys.path, so the measured checkout's sources must
-    lead it (training_memory runs this in such a process).
+    model holds the EncoderConfig fields other than max_positions and
+    mixing; vocab_size defaults to the byte tokenizer's. The loss is
+    mlm_loss, as train_mlm runs it. Imports specmix from sys.path, so the
+    measured checkout's sources must lead it (training_memory runs this in
+    such a process).
     """
     import tracemalloc
 
     import specmix as sm
 
-    cfg = sm.EncoderConfig(**MEMORY_MODEL, vocab_size=sm.ByteTokenizer.vocab_size,
+    cfg = sm.EncoderConfig(**{"vocab_size": sm.ByteTokenizer.vocab_size, **model},
                            max_positions=seq_len, mixing=sm.MixingKind.HARTLEY)
     state = sm.init_encoder_state(cfg, sm.SplitRng(SEEDS[0]))
     rng = sm.SplitRng(SEEDS[0]).split(1)
     ids = rng.integers(sm.ByteTokenizer.n_specials, cfg.vocab_size, size=seq_len)
-    inputs, labels = sm.apply_mlm_mask(ids, sm.MaskingPolicy(), rng)
+    inputs, labels = sm.apply_mlm_mask(ids, sm.MaskingPolicy(), rng, vocab_size=cfg.vocab_size)
     tracemalloc.start()
     try:
         tape = sm.Tape()
         hidden = sm.encoder_forward(cfg, state, inputs, tape=tape)
-        loss = sm.nn.masked_cross_entropy(sm.mlm_logits(cfg, state, hidden, tape), labels, tape)
+        loss = sm.mlm_loss(cfg, state, hidden, labels, tape)
         forward = tracemalloc.get_traced_memory()[1]
         tape.backward(loss)
         step = tracemalloc.get_traced_memory()[1]
@@ -93,20 +102,27 @@ def mlm_step_peaks(seq_len: int) -> dict:
 
 
 def training_memory(checkout: Path) -> dict:
-    """mlm_step_peaks at each MEMORY_LENGTHS entry, each in a fresh process of the checkout."""
+    """mlm_step_peaks of MEMORY_MODEL and BASE_MODEL, each in a fresh process of the checkout."""
     probe = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import bench_trajectory as b; "
-             "print(json.dumps(b.mlm_step_peaks(int(sys.argv[3]))))")
+             "print(json.dumps(b.mlm_step_peaks(json.loads(sys.argv[3]), int(sys.argv[4]))))")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
-    lengths = {}
-    for seq_len in MEMORY_LENGTHS:
+
+    def peaks(model, seq_len):
         out = subprocess.run(
             [sys.executable, "-c", probe, str(checkout / "src"), str(Path(__file__).parent),
-             str(seq_len)],
+             json.dumps(model), str(seq_len)],
             cwd=checkout, env=env, capture_output=True, text=True, check=True)
-        lengths[str(seq_len)] = json.loads(out.stdout)
-        print(f"training_memory L={seq_len}: {lengths[str(seq_len)]}", file=sys.stderr)
+        print(f"training_memory {model} L={seq_len}: {out.stdout.strip()}", file=sys.stderr)
+        return json.loads(out.stdout)
+
     return {"model": {**MEMORY_MODEL, "mixing": "hartley", "vocab": "byte tokenizer"},
-            "unit": "MiB", "tool": "tracemalloc", "lengths": lengths}
+            "unit": "MiB", "tool": "tracemalloc",
+            "lengths": {str(n): peaks(MEMORY_MODEL, n) for n in MEMORY_LENGTHS},
+            "base_width": {
+                "model": {**BASE_MODEL, "mixing": "hartley"},
+                "layers": {str(depth): {str(n): peaks({**BASE_MODEL, "n_layers": depth}, n)
+                                        for n in BASE_LENGTHS}
+                           for depth in BASE_LAYERS}}}
 
 
 def next_file() -> tuple:

@@ -28,6 +28,7 @@ from .encoder import (
     init_encoder_state,
     mix_tokens,
     mlm_logits,
+    mlm_loss,
     param_shapes,
     state_from_arrays,
     swap_mixing,
@@ -132,6 +133,7 @@ __all__ = [
     "mix2d_vjp",
     "mix_tokens",
     "mlm_logits",
+    "mlm_loss",
     "multi_head_attention",
     "pack_corpus",
     "param_shapes",

@@ -209,6 +209,26 @@ def mlm_logits(cfg, state, hidden: Node, tape: Tape | None = None) -> Node:
     return nn.tied_logits(h, state["embeddings.word"], state["mlm.bias"], tape)
 
 
+def mlm_loss(cfg, state, hidden: Node, labels, tape: Tape | None = None) -> Node:
+    """Masked-token loss over hidden states [L, d_model], the head run on labeled rows only.
+
+    Only rows whose label is not IGNORE_LABEL feed the loss, so they are
+    gathered first (a taped row lookup, whose backward scatters their
+    cotangents back into hidden) and mlm_logits runs on them alone: its
+    [rows, vocab] logits are about 15% of the all-rows head's at the default
+    masking rate. The loss equals masked_cross_entropy over all rows'
+    logits, and gradients differ from that only in rounding. With no labeled
+    row the loss is exactly 0 and no gradient flows.
+    """
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != hidden.value.shape[:-1]:
+        raise ShapeError(f"labels shape {labels.shape} does not match hidden states "
+                         f"{hidden.value.shape}")
+    rows = np.flatnonzero(labels != nn.IGNORE_LABEL)
+    labeled = nn.embedding_lookup(rows, hidden, tape)
+    return nn.masked_cross_entropy(mlm_logits(cfg, state, labeled, tape), labels[rows], tape)
+
+
 # The JSON form of an EncoderConfig, as run configs and checkpoint headers store it.
 encoder_config_to_dict = asdict
 

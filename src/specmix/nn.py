@@ -241,8 +241,16 @@ def gelu(x: Node, tape: Tape | None) -> Node:
     out = Node(v * cdf)
 
     def backward(g):
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * v * v)
-        x.add_grad(g * (cdf + v * pdf))
+        # g * (cdf + v * pdf(v)) in one buffer: at [L, d_ff] each temporary
+        # costs as much as the stored CDF
+        d = np.multiply(v, v, out=np.empty_like(v))
+        d *= -0.5
+        np.exp(d, out=d)
+        d *= _INV_SQRT_2PI
+        d *= v
+        d += cdf
+        d *= g
+        x.add_grad(d)
     _record(tape, out, backward)
     return out
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .encoder import encoder_forward, mlm_logits
+from .encoder import encoder_forward, mlm_loss
 from .errors import ConfigError, TrainingError, is_int, is_real
 from .rng import SplitRng
 from .seq2seq import BOS_ID, EOS_ID, PAD_ID, seq2seq_loss
@@ -262,7 +262,12 @@ def _train(named_params, n_examples: int, example_loss, batch_at, steps: int, se
 def train_mlm(cfg, state, dataset: PackedDataset, schedule: BatchSchedule, steps: int,
               seed: int, optimizer: AdamW | None = None,
               policy: MaskingPolicy | None = None) -> list:
-    """Masked-token pretraining loop; returns one TraceRow per optimizer step."""
+    """Masked-token pretraining loop; returns one TraceRow per optimizer step.
+
+    Each example is one dataset slice masked by policy from a stream keyed by
+    its running example index. Its loss is encoder.mlm_loss, which runs the
+    prediction head on the masked (labeled) rows only.
+    """
     if len(dataset) == 0:
         raise TrainingError("empty dataset")
     policy = policy if policy is not None else MaskingPolicy()
@@ -274,8 +279,7 @@ def train_mlm(cfg, state, dataset: PackedDataset, schedule: BatchSchedule, steps
             dataset[idx], policy, mask_root.split(next(example_counter)),
             vocab_size=cfg.vocab_size,
         )
-        hidden = encoder_forward(cfg, state, inputs, tape=tape)
-        return nn.masked_cross_entropy(mlm_logits(cfg, state, hidden, tape), labels, tape)
+        return mlm_loss(cfg, state, encoder_forward(cfg, state, inputs, tape=tape), labels, tape)
 
     return _train(state.named_params, len(dataset), example_loss, schedule.batch_at,
                   steps, seed, optimizer)

@@ -27,6 +27,7 @@ from specmix.encoder import (
     encoder_forward,
     init_encoder_state,
     mlm_logits,
+    mlm_loss,
     swap_mixing,
 )
 from specmix.metrics import TaskMetricPair, relative_performance, rouge1_f, rougeL_f
@@ -244,6 +245,27 @@ def test_criterion_2_gradient_suite(verdict):
             for _, p in state.named_params():
                 check_grad(f, p.value, p.grad, 1e-4, zero_floor=1e-8)
                 n_checked += 1
+
+        # the same loss with the head on the labeled rows only, as train_mlm runs it
+        cfg = EncoderConfig(n_layers=1, d_model=8, d_ff=16, vocab_size=11,
+                            max_positions=8, mixing=MixingKind.HARTLEY)
+        state = init_encoder_state(cfg, SplitRng(12))
+        ids = np.array([1, 4, 2, 9, 3])
+        labels = np.array([-1, 5, -1, 0, 7])
+
+        def run(tape):
+            return mlm_loss(cfg, state, encoder_forward(cfg, state, ids, tape=tape), labels,
+                            tape)
+
+        tape = Tape()
+        tape.backward(run(tape))
+
+        def f():
+            return float(run(None).value)
+
+        for _, p in state.named_params():
+            check_grad(f, p.value, p.grad, 1e-4, zero_floor=1e-8)
+            n_checked += 1
 
         # full encoder-decoder, including the cross-attention seam into the
         # encoder; weights are scaled 10x so seam gradients clear FD roundoff

@@ -36,7 +36,20 @@ def test_summary_is_median_and_interquartile_range(trajectory):
 
 def test_training_memory_measures_each_length_in_a_fresh_process(trajectory, monkeypatch):
     monkeypatch.setattr(trajectory, "MEMORY_LENGTHS", (32,))
+    monkeypatch.setattr(trajectory, "BASE_MODEL", {"d_model": 16, "d_ff": 32, "vocab_size": 300})
+    monkeypatch.setattr(trajectory, "BASE_LENGTHS", (16, 32))
     got = trajectory.training_memory(trajectory.ROOT)
     assert got["unit"] == "MiB" and got["model"]["n_layers"] == 2
-    peaks = got["lengths"]["32"]
-    assert 0 < peaks["forward_peak_mib"] <= peaks["step_peak_mib"]
+    assert got["base_width"]["model"]["vocab_size"] == 300
+    assert sorted(got["base_width"]["layers"]) == ["1", "2"]
+    rows = [got["lengths"]["32"], *(got["base_width"]["layers"][depth][n]
+                                     for depth in ("1", "2") for n in ("16", "32"))]
+    for peaks in rows:
+        assert 0 < peaks["forward_peak_mib"] <= peaks["step_peak_mib"]
+
+
+def test_base_model_has_the_base_config_widths(trajectory):
+    from specmix.encoder import base_encoder_config
+
+    base = base_encoder_config()
+    assert trajectory.BASE_MODEL == {name: getattr(base, name) for name in trajectory.BASE_MODEL}

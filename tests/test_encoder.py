@@ -20,6 +20,7 @@ from specmix.encoder import (
     init_encoder_state,
     mix_tokens,
     mlm_logits,
+    mlm_loss,
     param_shapes,
     swap_mixing,
 )
@@ -27,6 +28,7 @@ from specmix.errors import CheckpointError, ConfigError, ShapeError, build_confi
 from specmix.nn import Node, Tape
 from specmix.rng import SplitRng
 from specmix.spectral import MixingKind, dft_naive
+from specmix.training import MaskingPolicy, apply_mlm_mask
 
 LINEAR_KINDS = [MixingKind.FOURIER_REAL, MixingKind.HARTLEY, MixingKind.FOURIER_IMAG]
 
@@ -274,6 +276,53 @@ class TestEncoderGradients:
 
         for name, p in state.named_params():
             check_grad(f, p.value, p.grad, 1e-4, zero_floor=1e-8)
+
+
+class TestMlmLoss:
+    """The labeled-rows head against the all-rows head it replaced in training."""
+
+    IDS = np.array([1, 4, 2, 9, 7, 3, 10, 5])
+
+    @staticmethod
+    def loss_and_grads(cfg, state, ids, head):
+        state.zero_grad()
+        tape = Tape()
+        loss = head(encoder_forward(cfg, state, ids, tape=tape), tape)
+        tape.backward(loss)
+        return float(loss.value), {name: p.grad.copy() for name, p in state.named_params()}
+
+    @pytest.mark.parametrize("labels", [[5, -1, 0, -1, -1, 9, -1, 3], [-1] * 8],
+                             ids=["labeled", "unlabeled"])
+    @pytest.mark.parametrize("kind", list(MixingKind))
+    def test_matches_the_all_rows_head(self, kind, labels):
+        cfg = tiny_cfg(mixing=kind)
+        state = init_encoder_state(cfg, SplitRng(11))
+        labels = np.array(labels)
+        loss, grads = self.loss_and_grads(
+            cfg, state, self.IDS, lambda h, t: mlm_loss(cfg, state, h, labels, t))
+        ref_loss, ref_grads = self.loss_and_grads(
+            cfg, state, self.IDS,
+            lambda h, t: nn.masked_cross_entropy(mlm_logits(cfg, state, h, t), labels, t))
+        assert loss == ref_loss
+        for name, ref in ref_grads.items():
+            # BLAS sums over fewer rows, so only rounding may differ
+            assert np.linalg.norm(grads[name] - ref) <= 1e-12 * np.linalg.norm(ref), name
+
+    def test_no_labeled_rows_is_exactly_zero_with_zero_grads(self):
+        state = init_encoder_state(TINY, SplitRng(3))
+        inputs, labels = apply_mlm_mask(self.IDS[self.IDS >= 5], MaskingPolicy(mask_prob=0.0),
+                                        SplitRng(0).split(0), vocab_size=TINY.vocab_size)
+        tape = Tape()
+        loss = mlm_loss(TINY, state, encoder_forward(TINY, state, inputs, tape=tape), labels,
+                        tape)
+        tape.backward(loss)
+        assert loss.value == 0.0
+        assert not any(p.grad.any() for _, p in state.named_params())
+
+    def test_labels_shape_mismatch(self):
+        state = init_encoder_state(TINY, SplitRng(0))
+        with pytest.raises(ShapeError, match="labels shape"):
+            mlm_loss(TINY, state, Node(np.zeros((4, 8))), [0, 1, 2], None)
 
 
 class TestSwapMixing:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from fdcheck import check_grad
 from specmix import nn
@@ -195,6 +196,17 @@ class TestGelu:
             return scalar_loss(nn.gelu(Node(xv), None).value, proj)
 
         check_grad(f, xv, x.grad, 1e-6)
+
+    def test_backward_bits_match_the_reference_formula(self):
+        rng = np.random.default_rng(5)
+        xv = np.concatenate([rng.normal(size=200) * 3, [0.0, -0.0, 1e-300, -40.0, 40.0]])
+        g = rng.normal(size=xv.shape)
+        x = Node(xv)
+        tape = Tape()
+        tape.backward(nn.gelu(x, tape), seed=g)
+        cdf = 0.5 * (1.0 + erf(xv * nn._INV_SQRT2))
+        pdf = nn._INV_SQRT_2PI * np.exp(-0.5 * xv * xv)
+        assert x.grad.tobytes() == (g * (cdf + xv * pdf)).tobytes()
 
 
 class TestSoftmax:

@@ -7,6 +7,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +367,26 @@ def test_training_steps_do_not_fault_memory_back_in():
     assert int(proc.stdout) < 20_000
 
 
+def test_mlm_step_peak_stays_under_one_vocabulary_logit_array():
+    # The head runs on the ~15% labeled rows, so no [L, vocab] array is ever
+    # built; the all-rows head held at least two (logits and log-probabilities).
+    length, vocab = 512, 4000
+    cfg = EncoderConfig(n_layers=1, d_model=16, d_ff=32, vocab_size=vocab,
+                        max_positions=length, mixing=MixingKind.HARTLEY)
+    state = init_encoder_state(cfg, SplitRng(0))
+    dataset = pack_corpus([np.random.default_rng(0).integers(5, vocab, size=length)], length)
+    schedule, opt = BatchSchedule([(None, 1)]), AdamW(base_lr=1e-3, warmup_steps=0)
+    # transform set-up and optimizer moments outside the trace
+    train_mlm(cfg, state, dataset, schedule, 1, seed=0, optimizer=opt)
+    tracemalloc.start()
+    try:
+        train_mlm(cfg, state, dataset, schedule, 1, seed=1, optimizer=opt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < length * vocab * 8, peak
+
+
 def copy_pairs(n=4, length=5, seed=0):
     rng = np.random.default_rng(seed)
     pairs = []
@@ -430,7 +451,7 @@ class TestLoopBytes:
     def test_train_mlm_two_phase_schedule(self):
         state, trace = micro_train(seed=4, steps=8, schedule=BatchSchedule([(3, 2), (None, 3)]))
         assert loop_digest(trace, state) == (
-            "771ad4dc34f5e04588b27beacc828fb823cea0ae1a0de795a2fda36210bd9f2c")
+            "11f80522802935c4853668e54defddbb05794142521a17bb765f509c0869e9cf")
 
     def test_train_seq2seq_early_stopped(self):
         # 5 pairs in batches of 2: epochs end mid-batch; patience stops the run at step 20
