@@ -42,14 +42,7 @@ from .metrics import (
     rougeL_f,
     token_accuracy,
 )
-from .nn import (
-    AttentionConfig,
-    AttentionParams,
-    Node,
-    Parameter,
-    Tape,
-    multi_head_attention,
-)
+from .nn import Node, Parameter, Tape, multi_head_attention
 from .rng import SplitRng
 from .seq2seq import (
     DecoderConfig,
@@ -83,8 +76,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdamW",
-    "AttentionConfig",
-    "AttentionParams",
     "BatchSchedule",
     "BenchResult",
     "ByteTokenizer",

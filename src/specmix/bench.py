@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .nn import AttentionConfig, AttentionParams, Node, init_params, multi_head_attention
+from .nn import Node, init_params, linear, multi_head_attention
 from .rng import SplitRng
 from .spectral import MixingKind, mix2d
 
@@ -78,12 +78,6 @@ def unclamped_blas_warning() -> str | None:
     found = [f"{var}={os.environ[var]}" for var in THREAD_VARS if var in os.environ]
     return ("threadpoolctl is not installed, so BLAS is not clamped to one thread; "
             f"thread variables set: {', '.join(found) or 'none'}")
-
-
-def _attention_params(d_model: int, rng: SplitRng) -> AttentionParams:
-    names = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-    shapes = {name: (d_model, d_model) if name.startswith("w") else (d_model,) for name in names}
-    return AttentionParams(**init_params(shapes, rng))
 
 
 def _time_workloads(fns, repeats: int, warmup: int) -> list:
@@ -131,10 +125,17 @@ def bench_mixing_vs_attention(
     seq_lens = [int(n) for n in seq_lens]
     if not seq_lens or min(seq_lens) < 1:
         raise ConfigError("seq_lens must be positive")
+    if d_model < 1 or n_heads < 1 or d_model % n_heads != 0:
+        raise ConfigError(f"d_model {d_model} must be a positive multiple of n_heads {n_heads}")
 
     root = SplitRng(seed)
-    cfg = AttentionConfig(n_heads=n_heads, d_model=d_model, causal=False)
-    params = _attention_params(d_model, root.split(0))
+    shapes = {f"{w}{p}": (d_model, d_model) if w == "w" else (d_model,)
+              for p in "qkvo" for w in "wb"}
+    params = init_params(shapes, root.split(0))
+
+    def proj(p, x):
+        return linear(x, params[f"w{p}"], params[f"b{p}"], None)
+
     results = []
     with _single_thread():
         for i, seq_len in enumerate(seq_lens):
@@ -142,7 +143,8 @@ def bench_mixing_vs_attention(
             node = Node(x)
 
             def run_attention():
-                return multi_head_attention(node, node, node, params, cfg, tape=None).value
+                q, k, v = (proj(p, node) for p in "qkv")
+                return proj("o", multi_head_attention(q, k, v, n_heads, None)).value
 
             mixers = [lambda kind=kind: mix2d(x, kind) for kind in MIXING_KINDS]
             base_median, *medians = _time_workloads([run_attention, *mixers], repeats, warmup)

@@ -27,7 +27,7 @@ per tape at a time; independent tapes are safe to run concurrently.
 from __future__ import annotations
 
 import ctypes
-from dataclasses import dataclass
+import math
 
 import numpy as np
 from scipy.special import erf
@@ -267,17 +267,6 @@ def log_softmax_rows(v: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax(x: Node, tape: Tape | None) -> Node:
-    """Max-subtracted softmax along the last axis."""
-    y = _softmax_rows(x.value)
-    out = Node(y)
-
-    def backward(g):
-        x.add_grad((g - (g * y).sum(axis=-1, keepdims=True)) * y)
-    _record(tape, out, backward)
-    return out
-
-
 def embedding_lookup(ids, table: Node, tape: Tape | None) -> Node:
     """Row gather; the VJP scatter-adds cotangent rows back into the table."""
     ids = np.asarray(ids, dtype=np.int64)
@@ -345,51 +334,6 @@ def masked_cross_entropy(logits: Node, labels, tape: Tape | None) -> Node:
     return out
 
 
-@dataclass(frozen=True)
-class AttentionConfig:
-    n_heads: int
-    d_model: int
-    causal: bool = False
-
-    def __post_init__(self):
-        if self.n_heads < 1 or self.d_model < 1:
-            raise ValueError("attention extents must be positive")
-        if self.d_model % self.n_heads != 0:
-            raise ValueError(
-                f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
-            )
-
-
-@dataclass
-class AttentionParams:
-    """Projection weights for one attention sub-layer (all shape-checked by linear)."""
-
-    wq: Parameter
-    bq: Parameter
-    wk: Parameter
-    bk: Parameter
-    wv: Parameter
-    bv: Parameter
-    wo: Parameter
-    bo: Parameter
-
-
-def _attention_bias(l_q: int, l_k: int, causal: bool, pad_mask) -> np.ndarray | None:
-    """0/-inf additive bias, or None when nothing is masked. Errors on dead rows."""
-    bias = None
-    if causal:
-        bias = np.where(np.tril(np.ones((l_q, l_k), dtype=bool)), 0.0, -np.inf)
-    if pad_mask is not None:
-        pad_mask = np.asarray(pad_mask, dtype=bool)
-        if pad_mask.shape != (l_k,):
-            raise ShapeError(f"pad_mask shape {pad_mask.shape} != key length ({l_k},)")
-        pad_bias = np.where(pad_mask, 0.0, -np.inf)[None, :]
-        bias = pad_bias if bias is None else bias + pad_bias
-    if bias is not None and not np.isfinite(bias).any(axis=1).all():
-        raise ShapeError("attention row with every key masked (malformed batch)")
-    return bias
-
-
 def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, bias=None,
             weights: np.ndarray | None = None) -> np.ndarray:
     """Per-head softmax(q k^T / sqrt(d_h) + bias) v over projected, head-split inputs.
@@ -412,44 +356,41 @@ def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, bias=None,
     return ctx
 
 
-def multi_head_attention(
-    q: Node,
-    k: Node,
-    v: Node,
-    params: AttentionParams,
-    cfg: AttentionConfig,
-    tape: Tape | None,
-    pad_mask=None,
-) -> Node:
-    """Scaled dot-product attention with per-head width d/h and output projection.
+def multi_head_attention(q: Node, k: Node, v: Node, n_heads: int, tape: Tape | None,
+                         causal: bool = False) -> Node:
+    """Per-head scaled dot-product attention of projected q [L_q, d] over k and v.
 
-    Masked logits are set to -inf before the softmax. Heads are processed one
-    at a time, which bounds scratch memory to a single (L_q, L_k) score matrix
-    during inference.
+    k and v are [..., L_k, d]. q's rows split evenly over their leading axes,
+    so 2-D keys serve every query and keys [B, t, d] give each of B groups of
+    query rows its own key set. causal keeps only keys j <= i for query row i
+    of a group. Returns the per-head context [L_q, d], before any output
+    projection. Heads run one at a time, which bounds scratch memory to one
+    score matrix during inference. Only 2-D keys can be taped.
     """
-    l_q = q.value.shape[0]
-    l_k = k.value.shape[0]
-    if l_k == 0 or l_q == 0:
-        raise ShapeError("attention requires at least one query and one key")
-    d = cfg.d_model
-    n_heads = cfg.n_heads
-    dh = d // n_heads
-    scale = 1.0 / np.sqrt(dh)
-
-    qp = linear(q, params.wq, params.bq, tape)
-    kp = linear(k, params.wk, params.bk, tape)
-    vp = linear(v, params.wv, params.bv, tape)
-    bias = _attention_bias(l_q, l_k, cfg.causal, pad_mask)
-
-    qh = qp.value.reshape(l_q, n_heads, dh)
-    kh = kp.value.reshape(l_k, n_heads, dh)
-    vh = vp.value.reshape(l_k, n_heads, dh)
-
+    qv, kv = q.value, k.value
+    if qv.ndim != 2 or kv.ndim < 2 or kv.shape != v.value.shape or kv.shape[-1] != qv.shape[1]:
+        raise ShapeError(f"attention: q {qv.shape}, k {kv.shape} and v {v.value.shape} "
+                         "need q [L_q, d] and equal k, v of shape [..., L_k, d]")
+    d, lead = qv.shape[1], kv.shape[:-2]
+    if n_heads < 1 or d % n_heads != 0:
+        raise ShapeError(f"attention: width {d} not divisible by n_heads {n_heads}")
+    if tape is not None and lead:
+        raise ShapeError(f"attention: only 2-D keys can be taped, got {kv.shape}")
+    l_q, l_k, groups = qv.shape[0], kv.shape[-2], math.prod(lead)
+    if l_q == 0 or kv.size == 0 or l_q % groups != 0:
+        raise ShapeError(f"attention: {l_q} queries do not split over keys {kv.shape}")
+    rows, heads = l_q // groups, (n_heads, d // n_heads)  # query rows per key set
+    qh = qv.reshape(*lead, rows, *heads)
+    kh, vh = (x.value.reshape(*kv.shape[:-1], *heads) for x in (k, v))
+    bias = None
+    if causal:
+        bias = np.where(np.tril(np.ones((rows, l_k), dtype=bool)), 0.0, -np.inf)
     weights = np.empty((n_heads, l_q, l_k)) if tape is not None else None
-    concat = Node(_attend(qh, kh, vh, bias, weights).reshape(l_q, d))
+    out = Node(_attend(qh, kh, vh, bias, weights).reshape(l_q, d))
+    scale = 1.0 / np.sqrt(heads[1])
 
     def backward(g):
-        gh = g.reshape(l_q, n_heads, dh)
+        gh = g.reshape(l_q, *heads)
         dq = np.empty_like(qh)
         dk = np.empty_like(kh)
         dv = np.empty_like(vh)
@@ -460,8 +401,8 @@ def multi_head_attention(
             ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
             dq[:, h, :] = ds @ kh[:, h, :]
             dk[:, h, :] = ds.T @ qh[:, h, :]
-        qp.add_grad(dq.reshape(l_q, d))
-        kp.add_grad(dk.reshape(l_k, d))
-        vp.add_grad(dv.reshape(l_k, d))
-    _record(tape, concat, backward)
-    return linear(concat, params.wo, params.bo, tape)
+        q.add_grad(dq.reshape(l_q, d))
+        k.add_grad(dk.reshape(l_k, d))
+        v.add_grad(dv.reshape(l_k, d))
+    _record(tape, out, backward)
+    return out

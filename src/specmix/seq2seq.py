@@ -29,7 +29,7 @@ from .encoder import (
     state_from_arrays,
 )
 from .errors import ConfigError, ShapeError, is_int, is_real
-from .nn import AttentionConfig, AttentionParams, Node, Tape
+from .nn import Node, Tape
 from .rng import SplitRng
 
 PAD_ID = 0
@@ -155,11 +155,9 @@ def seq2seq_state_from_arrays(encoder_cfg: EncoderConfig, decoder_cfg: DecoderCo
     return Seq2SeqState(encoder_cfg, encoder, decoder_cfg, decoder)
 
 
-def _attn_params(decoder: dict, prefix: str) -> AttentionParams:
-    return AttentionParams(**{
-        w: decoder[f"{prefix}.{w}"]
-        for w in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-    })
+def _proj(decoder: dict, prefix: str, w: str, x: Node, tape: Tape | None) -> Node:
+    """Attention projection w ("q", "k", "v" or "o") of sub-layer prefix applied to x."""
+    return nn.linear(x, decoder[f"{prefix}.w{w}"], decoder[f"{prefix}.b{w}"], tape)
 
 
 def _decoder_stack(cfg: DecoderConfig, decoder: dict, ids, positions, attend_self,
@@ -204,16 +202,17 @@ def decoder_forward(cfg: DecoderConfig, decoder: dict, target_ids, encoder_out: 
         raise ShapeError(
             f"encoder output shape {encoder_out.value.shape} incompatible with d_model {cfg.d_model}"
         )
-    self_cfg = AttentionConfig(n_heads=cfg.n_heads, d_model=cfg.d_model, causal=True)
-    cross_cfg = AttentionConfig(n_heads=cfg.n_heads, d_model=cfg.d_model, causal=False)
+
+    def attend(prefix, x, source, causal):
+        q, k, v = (_proj(decoder, prefix, w, y, tape) for w, y in zip("qkv", (x, source, source)))
+        ctx = nn.multi_head_attention(q, k, v, cfg.n_heads, tape, causal)
+        return _proj(decoder, prefix, "o", ctx, tape)
 
     def attend_self(i, x):
-        params = _attn_params(decoder, f"decoder.layer{i}.self_attn")
-        return nn.multi_head_attention(x, x, x, params, self_cfg, tape)
+        return attend(f"decoder.layer{i}.self_attn", x, x, True)
 
     def attend_cross(i, u):
-        params = _attn_params(decoder, f"decoder.layer{i}.cross_attn")
-        return nn.multi_head_attention(u, encoder_out, encoder_out, params, cross_cfg, tape)
+        return attend(f"decoder.layer{i}.cross_attn", u, encoder_out, False)
 
     return _decoder_stack(cfg, decoder, target_ids, np.arange(L), attend_self, attend_cross, tape)
 
@@ -252,38 +251,36 @@ def _banned_tokens(seen: dict, tokens: list, n: int) -> frozenset:
     return seen.get(tuple(tokens[len(tokens) - (n - 1):]), frozenset())
 
 
-def _proj(decoder: dict, prefix: str, w: str, x: Node) -> Node:
-    return nn.linear(x, decoder[f"{prefix}.w{w}"], decoder[f"{prefix}.b{w}"], None)
-
-
 def _decoder_step(cfg: DecoderConfig, decoder: dict, tokens, cross_kv: list,
                   self_kv: list):
     """Logits [B, V] at the next position of B hypotheses, in one decoder pass.
 
     tokens [B] holds each hypothesis's newest token. Layer i attends over the
-    encoder's keys and values cross_kv[i] ([L_src, H, d_h] each), and over
-    its own position plus self_kv[i] ([B, t, H, d_h] each, the t positions
-    before it). Row b equals the last row of
-    decoder_forward on hypothesis b's whole prefix, up to rounding. Returns
-    the logits and self_kv extended by this position.
+    encoder's projected keys and values cross_kv[i], two Nodes of shape
+    [L_src, d_model] that every hypothesis shares, and over its own position
+    plus self_kv[i], two arrays of shape [B, t, d_model] that hold each
+    hypothesis's projected keys and values at the t positions before it.
+    Row b equals the last row of decoder_forward on hypothesis b's whole
+    prefix, up to rounding. Returns the logits and self_kv extended by this
+    position, [B, t + 1, d_model] each.
     """
     n, t = len(tokens), self_kv[0][0].shape[1]
-    heads = (cfg.n_heads, cfg.d_model // cfg.n_heads)
     extended = []
 
     def attend_self(i, x):
         prefix = f"decoder.layer{i}.self_attn"
-        k, v = (np.concatenate((cached, _proj(decoder, prefix, w, x).value.reshape(n, 1, *heads)),
-                               axis=1)
+        k, v = (np.concatenate((cached, _proj(decoder, prefix, w, x, None).value[:, None]), axis=1)
                 for cached, w in zip(self_kv[i], "kv"))
         extended.append((k, v))
-        ctx = nn._attend(_proj(decoder, prefix, "q", x).value.reshape(n, 1, *heads), k, v)
-        return _proj(decoder, prefix, "o", Node(ctx.reshape(n, cfg.d_model)))
+        q = _proj(decoder, prefix, "q", x, None)
+        ctx = nn.multi_head_attention(q, Node(k), Node(v), cfg.n_heads, None)
+        return _proj(decoder, prefix, "o", ctx, None)
 
     def attend_cross(i, u):
         prefix = f"decoder.layer{i}.cross_attn"
-        ctx = nn._attend(_proj(decoder, prefix, "q", u).value.reshape(n, *heads), *cross_kv[i])
-        return _proj(decoder, prefix, "o", Node(ctx.reshape(n, cfg.d_model)))
+        ctx = nn.multi_head_attention(_proj(decoder, prefix, "q", u, None), *cross_kv[i],
+                                      cfg.n_heads, None)
+        return _proj(decoder, prefix, "o", ctx, None)
 
     logits = _decoder_stack(cfg, decoder, tokens, np.full(n, t), attend_self, attend_cross, None)
     return logits.value, extended
@@ -293,11 +290,12 @@ def generate(state: Seq2SeqState, source_ids, gen: GenerationConfig) -> list:
     """Beam-searched token ids for one source, bos/eos stripped from the result.
 
     Decoding is incremental. The source is encoded once and each layer's
-    cross-attention keys and values are projected once. Every live
-    hypothesis keeps its self-attention keys and values, and each step runs
-    all of them through the decoder as one [beam, d] batch that extends those
-    caches by one position; beam selection reorders the caches to the kept
-    hypotheses.
+    cross-attention keys and values are projected once, [L_src, d_model]
+    each. Every live hypothesis keeps its self-attention keys and values, a
+    [B, t, d_model] pair per layer for B live hypotheses after t steps, and
+    each step runs all of them through the decoder as one [B, d_model] batch
+    that extends those caches by one position; beam selection reorders the
+    caches to the kept hypotheses.
 
     Hypotheses are ranked by mean log-probability per generated token; ties
     break toward the lower token id, then the earlier hypothesis. The n-gram
@@ -307,13 +305,10 @@ def generate(state: Seq2SeqState, source_ids, gen: GenerationConfig) -> list:
     source_ids = np.asarray(source_ids, dtype=np.int64)[: gen.max_input_len]
     hidden = encoder_forward(state.encoder_cfg, state.encoder, source_ids)
     cfg, decoder = state.decoder_cfg, state.decoder
-    heads = (cfg.n_heads, cfg.d_model // cfg.n_heads)
-    cross_kv = [
-        tuple(_proj(decoder, f"decoder.layer{i}.cross_attn", w, hidden).value.reshape(-1, *heads)
-              for w in "kv")
-        for i in range(cfg.n_layers)
-    ]
-    self_kv = [(np.empty((1, 0, *heads)), np.empty((1, 0, *heads)))] * cfg.n_layers
+    cross_kv = [tuple(_proj(decoder, f"decoder.layer{i}.cross_attn", w, hidden, None)
+                      for w in "kv")
+                for i in range(cfg.n_layers)]
+    self_kv = [(np.empty((1, 0, cfg.d_model)),) * 2] * cfg.n_layers
     # bos occupies one decoder position, so content length is capped below it.
     max_len = min(gen.max_target_len, cfg.max_positions - 1)
     n = gen.no_repeat_ngram

@@ -316,6 +316,7 @@ def train_seq2seq(state, pairs, steps: int, seed: int, optimizer: AdamW | None =
         raise TrainingError("empty pair set")
     if patience is not None and not val_pairs:
         raise ConfigError("patience needs validation pairs: early stopping watches their loss")
+    schedule = BatchSchedule([(None, batch_size)])
     stopper = EarlyStopper(patience) if patience is not None else None
 
     def example_loss(idx, tape):
@@ -327,7 +328,7 @@ def train_seq2seq(state, pairs, steps: int, seed: int, optimizer: AdamW | None =
         values = [float(seq2seq_loss(state, src, tgt, None).value) for src, tgt in val_pairs]
         return stopper.update(float(np.mean(values)))
 
-    return _train(state.named_params, len(pairs), example_loss, lambda step: batch_size,
+    return _train(state.named_params, len(pairs), example_loss, schedule.batch_at,
                   steps, seed, optimizer,
                   stop_after if stopper is not None else None)
 

@@ -31,7 +31,7 @@ from specmix.encoder import (
     swap_mixing,
 )
 from specmix.metrics import TaskMetricPair, relative_performance, rouge1_f, rougeL_f
-from specmix.nn import AttentionConfig, AttentionParams, Parameter, Tape
+from specmix.nn import Parameter, Tape
 from specmix.rng import SplitRng
 from specmix.seq2seq import (
     DecoderConfig,
@@ -169,10 +169,6 @@ def test_criterion_2_gradient_suite(verdict):
         x = par("x", 3, 5)
         n_checked += _check_op_grads(
             lambda t: nn.gelu(x, t), [x], rng.normal(size=(3, 5)))
-        # row softmax
-        x = par("x", 4, 5)
-        n_checked += _check_op_grads(
-            lambda t: nn.softmax(x, t), [x], rng.normal(size=(4, 5)))
         # embedding gather, with a repeated id
         table = par("table", 7, 4)
         ids = np.array([0, 3, 3, 6, 1])
@@ -189,27 +185,33 @@ def test_criterion_2_gradient_suite(verdict):
         labels = np.array([2, -1, 0, 6, 3])
         n_checked += _check_op_grads(
             lambda t: nn.masked_cross_entropy(logits, labels, t), [logits], 1.0)
-        # attention sub-layer, causal and padded; the key bias gradient is
-        # identically zero (a constant shift inside softmax rows), which the
-        # zero_floor escape in check_grad recognizes
-        cfg = AttentionConfig(n_heads=2, d_model=8, causal=True)
-
+        # attention sub-layer as the decoder runs it: q/k/v linears, the
+        # attention op, the output linear. Causal over one source (self-
+        # attention), then non-causal over a longer second source (cross-
+        # attention). The key bias gradient is identically zero (a constant
+        # shift inside softmax rows), which the zero_floor escape in
+        # check_grad recognizes.
         def half(name, *shape):
             # moderate weight scale keeps the softmax away from saturation,
             # where vanishing gradients would fall below what FD can resolve
             return Parameter(name, rng.normal(size=shape) * 0.5)
 
-        att = AttentionParams(
-            wq=half("wq", 8, 8), bq=half("bq", 8), wk=half("wk", 8, 8),
-            bk=half("bk", 8), wv=half("wv", 8, 8), bv=half("bv", 8),
-            wo=half("wo", 8, 8), bo=half("bo", 8))
-        q, k, v = half("q", 4, 8), half("k", 4, 8), half("v", 4, 8)
-        pad = np.array([True, True, True, False])
-        att_params = [q, k, v, att.wq, att.bq, att.wk, att.bk,
-                      att.wv, att.bv, att.wo, att.bo]
+        att = {f"{w}{p}": half(f"{w}{p}", *((8, 8) if w == "w" else (8,)))
+               for p in "qkvo" for w in "wb"}
+
+        def sublayer(x, source, causal, t):
+            def proj(p, y):
+                return nn.linear(y, att[f"w{p}"], att[f"b{p}"], t)
+            ctx = nn.multi_head_attention(proj("q", x), proj("k", source), proj("v", source),
+                                          2, t, causal)
+            return proj("o", ctx)
+
+        x, src = half("x", 4, 8), half("src", 6, 8)
         n_checked += _check_op_grads(
-            lambda t: nn.multi_head_attention(q, k, v, att, cfg, t, pad_mask=pad),
-            att_params, rng.normal(size=(4, 8)))
+            lambda t: sublayer(x, x, True, t), [x, *att.values()], rng.normal(size=(4, 8)))
+        n_checked += _check_op_grads(
+            lambda t: sublayer(x, src, False, t), [x, src, *att.values()],
+            rng.normal(size=(4, 8)))
 
         # all five mixing projections against their closed-form adjoints
         for kind in MixingKind:

@@ -71,6 +71,11 @@ class TestHarness:
         with pytest.raises(ConfigError, match="seq_lens"):
             bench_mixing_vs_attention([0], d_model=8, n_heads=2)
 
+    @pytest.mark.parametrize("d_model, n_heads", [(0, 1), (8, 0), (768, 5)])
+    def test_attention_extents_validated(self, d_model, n_heads):
+        with pytest.raises(ConfigError, match="n_heads"):
+            bench_mixing_vs_attention([8], d_model=d_model, n_heads=n_heads)
+
     def test_checksum_guard_rejects_non_finite(self, fake_clock):
         def fn():
             fake_clock[0] += bench.MIN_SAMPLE_S

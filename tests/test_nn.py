@@ -9,7 +9,7 @@ from scipy.special import erf
 from fdcheck import check_grad
 from specmix import nn
 from specmix.errors import ShapeError
-from specmix.nn import AttentionConfig, AttentionParams, Node, Parameter, Tape
+from specmix.nn import Node, Parameter, Tape
 
 
 def scalar_loss(out_value, proj):
@@ -210,34 +210,21 @@ class TestGelu:
 
 
 class TestSoftmax:
+    """The row softmax inside attention; its gradient is checked through attention's."""
+
     def test_symmetry(self):
-        out = nn.softmax(Node([0.0, 0.0]), None)
-        assert np.array_equal(out.value, [0.5, 0.5])
+        assert np.array_equal(nn._softmax_rows(np.array([0.0, 0.0])), [0.5, 0.5])
 
     def test_max_subtraction_stability(self):
-        out = nn.softmax(Node([1000.0, 0.0]), None)
-        assert np.all(np.isfinite(out.value))
-        assert np.allclose(out.value, [1.0, 0.0])
+        out = nn._softmax_rows(np.array([1000.0, 0.0]))
+        assert np.all(np.isfinite(out))
+        assert np.allclose(out, [1.0, 0.0])
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
-        out = nn.softmax(Node(rng.normal(size=(7, 9)) * 10.0), None)
-        assert (out.value >= 0).all()
-        assert np.abs(out.value.sum(axis=-1) - 1.0).max() <= 1e-12
-
-    def test_grads_match_fd(self):
-        rng = np.random.default_rng(2)
-        xv = rng.normal(size=(3, 5))
-        proj = rng.normal(size=(3, 5))
-        x = Node(xv)
-        tape = Tape()
-        out = nn.softmax(x, tape)
-        tape.backward(out, seed=proj)
-
-        def f():
-            return scalar_loss(nn.softmax(Node(xv), None).value, proj)
-
-        check_grad(f, xv, x.grad, 1e-6)
+        out = nn._softmax_rows(rng.normal(size=(7, 9)) * 10.0)
+        assert (out >= 0).all()
+        assert np.abs(out.sum(axis=-1) - 1.0).max() <= 1e-12
 
 
 class TestEmbeddingLookup:
@@ -360,30 +347,23 @@ class TestMaskedCrossEntropy:
             check_grad(f, lv, logits.grad, 1e-5)
 
 
-def make_attention_params(rng, d, prefix="attn"):
-    def p(name, shape):
-        return Parameter(f"{prefix}.{name}", rng.normal(size=shape) * 0.5)
-
-    return AttentionParams(
-        wq=p("wq", (d, d)), bq=p("bq", d),
-        wk=p("wk", (d, d)), bk=p("bk", d),
-        wv=p("wv", (d, d)), bv=p("bv", d),
-        wo=p("wo", (d, d)), bo=p("bo", d),
-    )
+def make_attention_params(rng, d):
+    """The eight projection tensors of one attention sub-layer, by name."""
+    return {f"{w}{p}": Parameter(f"attn.{w}{p}", rng.normal(size=(d, d) if w == "w" else d) * 0.5)
+            for p in "qkvo" for w in "wb"}
 
 
-class TestAttentionConfig:
-    def test_rejects_indivisible_heads(self):
-        with pytest.raises(ValueError):
-            AttentionConfig(n_heads=3, d_model=8)
+def attention_sublayer(params, q, k, v, n_heads, tape, causal=False):
+    """The decoder's sub-layer: nn.linear projections around the attention op."""
+    def proj(p, x):
+        return nn.linear(x, params[f"w{p}"], params[f"b{p}"], tape)
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            AttentionConfig(n_heads=0, d_model=8)
+    ctx = nn.multi_head_attention(proj("q", q), proj("k", k), proj("v", v), n_heads, tape, causal)
+    return proj("o", ctx)
 
 
 class TestMultiHeadAttention:
-    """Masking semantics, the one-key degenerate case, and full VJPs."""
+    """Masking, the one-key degenerate case, batched keys, shape checks and VJPs."""
 
     def test_single_key_weight_is_one(self):
         # With one key the softmax weight is 1, so the q/k path drops out:
@@ -391,12 +371,11 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(4)
         d = 4
         params = make_attention_params(rng, d)
-        for b in (params.bq, params.bk, params.bv, params.bo):
-            b.value[...] = 0.0
-        cfg = AttentionConfig(n_heads=1, d_model=d)
+        for p in "qkvo":
+            params[f"b{p}"].value[...] = 0.0
         qv, kv, vv = (rng.normal(size=(1, d)) for _ in range(3))
-        out = nn.multi_head_attention(Node(qv), Node(kv), Node(vv), params, cfg, None)
-        expected = (vv @ params.wv.value) @ params.wo.value
+        out = attention_sublayer(params, Node(qv), Node(kv), Node(vv), 1, None)
+        expected = (vv @ params["wv"].value) @ params["wo"].value
         assert np.allclose(out.value, expected, atol=1e-12)
 
     def test_causal_mask_blocks_future_positions(self):
@@ -404,98 +383,101 @@ class TestMultiHeadAttention:
         rng = np.random.default_rng(7)
         d = 6
         params = make_attention_params(rng, d)
-        cfg = AttentionConfig(n_heads=2, d_model=d, causal=True)
         qv = rng.normal(size=(3, d))
         kv = rng.normal(size=(3, d))
         vv = rng.normal(size=(3, d))
-        base = nn.multi_head_attention(Node(qv), Node(kv), Node(vv), params, cfg, None)
+        base = attention_sublayer(params, Node(qv), Node(kv), Node(vv), 2, None, causal=True)
         kv2, vv2 = kv.copy(), vv.copy()
         kv2[1:] += 100.0
         vv2[1:] -= 50.0
-        moved = nn.multi_head_attention(Node(qv), Node(kv2), Node(vv2), params, cfg, None)
+        moved = attention_sublayer(params, Node(qv), Node(kv2), Node(vv2), 2, None, causal=True)
         assert np.array_equal(base.value[0], moved.value[0])
         assert not np.array_equal(base.value[1], moved.value[1])
 
-    def test_pad_mask_removes_key_influence(self):
-        rng = np.random.default_rng(8)
-        d = 4
-        params = make_attention_params(rng, d)
-        cfg = AttentionConfig(n_heads=2, d_model=d)
-        qv = rng.normal(size=(2, d))
-        kv = rng.normal(size=(3, d))
-        vv = rng.normal(size=(3, d))
-        mask = np.array([True, True, False])
-        base = nn.multi_head_attention(Node(qv), Node(kv), Node(vv), params, cfg, None, pad_mask=mask)
-        vv2 = vv.copy()
-        vv2[2] += 1e6
-        moved = nn.multi_head_attention(Node(qv), Node(kv), Node(vv2), params, cfg, None, pad_mask=mask)
-        assert np.array_equal(base.value, moved.value)
-
     def test_empty_keys_rejected(self):
-        rng = np.random.default_rng(1)
-        d = 4
-        params = make_attention_params(rng, d)
-        cfg = AttentionConfig(n_heads=1, d_model=d)
         with pytest.raises(ShapeError):
-            nn.multi_head_attention(
-                Node(np.zeros((2, d))), Node(np.zeros((0, d))), Node(np.zeros((0, d))),
-                params, cfg, None,
-            )
+            nn.multi_head_attention(Node(np.zeros((2, 4))), Node(np.zeros((0, 4))),
+                                    Node(np.zeros((0, 4))), 1, None)
 
-    def test_fully_masked_row_rejected(self):
-        rng = np.random.default_rng(1)
-        d = 4
-        params = make_attention_params(rng, d)
-        cfg = AttentionConfig(n_heads=1, d_model=d)
-        with pytest.raises(ShapeError):
-            nn.multi_head_attention(
-                Node(np.zeros((2, d))), Node(np.zeros((3, d))), Node(np.zeros((3, d))),
-                params, cfg, None, pad_mask=np.array([False, False, False]),
-            )
+    def test_rejects_indivisible_heads(self):
+        x = Node(np.zeros((2, 8)))
+        with pytest.raises(ShapeError, match="n_heads 3"):
+            nn.multi_head_attention(x, x, x, 3, None)
 
-    def test_pad_mask_shape_rejected(self):
-        rng = np.random.default_rng(1)
-        d = 4
-        params = make_attention_params(rng, d)
-        cfg = AttentionConfig(n_heads=1, d_model=d)
+    def test_rejects_nonpositive_heads(self):
+        x = Node(np.zeros((2, 8)))
+        with pytest.raises(ShapeError, match="n_heads 0"):
+            nn.multi_head_attention(x, x, x, 0, None)
+
+    def test_rejects_k_and_v_of_different_shapes(self):
+        q = Node(np.zeros((2, 4)))
         with pytest.raises(ShapeError):
-            nn.multi_head_attention(
-                Node(np.zeros((2, d))), Node(np.zeros((3, d))), Node(np.zeros((3, d))),
-                params, cfg, None, pad_mask=np.array([True, True]),
-            )
+            nn.multi_head_attention(q, Node(np.zeros((3, 4))), Node(np.zeros((2, 4))), 2, None)
+
+    def test_rejects_keys_narrower_than_queries(self):
+        q, kv = Node(np.zeros((2, 4))), Node(np.zeros((3, 2)))
+        with pytest.raises(ShapeError):
+            nn.multi_head_attention(q, kv, kv, 2, None)
+
+    def test_rejects_taped_batched_keys(self):
+        q, kv = Node(np.zeros((2, 4))), Node(np.zeros((2, 3, 4)))
+        nn.multi_head_attention(q, kv, kv, 2, None)  # untaped, the decode form is fine
+        with pytest.raises(ShapeError, match="taped"):
+            nn.multi_head_attention(q, kv, kv, 2, Tape())
+
+    def test_rejects_queries_that_do_not_split_over_key_sets(self):
+        q, kv = Node(np.zeros((3, 4))), Node(np.zeros((2, 3, 4)))
+        with pytest.raises(ShapeError):
+            nn.multi_head_attention(q, kv, kv, 2, None)
+
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_batched_keys_match_per_group_calls(self, rows, causal):
+        # The decode form: group b of `rows` query rows attends its own keys
+        # [t, d]. One call over keys [B, t, d] equals B calls over 2-D keys.
+        rng = np.random.default_rng(23)
+        n_groups, t, d = 3, 5, 8
+        qv = rng.normal(size=(n_groups * rows, d))
+        kv, vv = rng.normal(size=(2, n_groups, t, d))
+        batched = nn.multi_head_attention(Node(qv), Node(kv), Node(vv), 2, None, causal)
+        for b in range(n_groups):
+            own = slice(b * rows, (b + 1) * rows)
+            single = nn.multi_head_attention(Node(qv[own]), Node(kv[b]), Node(vv[b]), 2, None,
+                                             causal)
+            assert np.abs(batched.value[own] - single.value).max() <= 1e-12
 
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         d = 8
         params = make_attention_params(rng, d)
-        cfg = AttentionConfig(n_heads=4, d_model=d, causal=True)
         qv = rng.normal(size=(5, d))
-        a = nn.multi_head_attention(Node(qv), Node(qv), Node(qv), params, cfg, None)
-        b = nn.multi_head_attention(Node(qv.copy()), Node(qv.copy()), Node(qv.copy()), params, cfg, None)
+        a = attention_sublayer(params, Node(qv), Node(qv), Node(qv), 4, None, causal=True)
+        b = attention_sublayer(params, Node(qv.copy()), Node(qv.copy()), Node(qv.copy()), 4,
+                               None, causal=True)
         assert np.array_equal(a.value, b.value)
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_grads_match_fd(self, causal):
-        """Inputs and all eight projection tensors against central differences."""
+        """Inputs and all eight projection tensors against central differences.
+
+        Non-causal runs cross-attention shapes, with more keys than queries.
+        """
         rng = np.random.default_rng(17 + causal)
         d, heads = 4, 2
+        l_k = 3 if causal else 5
         params = make_attention_params(rng, d)
-        cfg = AttentionConfig(n_heads=heads, d_model=d, causal=causal)
         qv = rng.normal(size=(3, d))
-        kv = rng.normal(size=(3, d))
-        vv = rng.normal(size=(3, d))
-        mask = np.array([True, True, True]) if causal else np.array([True, False, True])
+        kv = rng.normal(size=(l_k, d))
+        vv = rng.normal(size=(l_k, d))
         proj = rng.normal(size=(3, d))
 
         q, k, v = Node(qv), Node(kv), Node(vv)
         tape = Tape()
-        out = nn.multi_head_attention(q, k, v, params, cfg, tape, pad_mask=mask)
+        out = attention_sublayer(params, q, k, v, heads, tape, causal)
         tape.backward(out, seed=proj)
 
         def f():
-            fresh = nn.multi_head_attention(
-                Node(qv), Node(kv), Node(vv), params, cfg, None, pad_mask=mask
-            )
+            fresh = attention_sublayer(params, Node(qv), Node(kv), Node(vv), heads, None, causal)
             return scalar_loss(fresh.value, proj)
 
         check_grad(f, qv, q.grad, 1e-4)
@@ -503,8 +485,7 @@ class TestMultiHeadAttention:
         check_grad(f, vv, v.grad, 1e-4)
         # zero_floor covers bk: a key bias shifts every logit in a softmax row
         # equally, so its true gradient is identically zero and FD sees noise.
-        for tensor in (params.wq, params.bq, params.wk, params.bk,
-                       params.wv, params.bv, params.wo, params.bo):
+        for tensor in params.values():
             check_grad(f, tensor.value, tensor.grad, 1e-4, zero_floor=1e-8)
 
 
@@ -521,16 +502,14 @@ class TestGradientSweep:
 
             xv = rng.normal(size=(rows, width))
             proj = rng.normal(size=(rows, width))
-            for op, tol in ((nn.gelu, 1e-6), (nn.softmax, 1e-6)):
-                x = Node(xv.copy())
-                tape = Tape()
-                tape.backward(op(x, tape), seed=proj)
-                held = x.value
+            x = Node(xv.copy())
+            tape = Tape()
+            tape.backward(nn.gelu(x, tape), seed=proj)
 
-                def f(op=op, held=held):
-                    return scalar_loss(op(Node(held), None).value, proj)
+            def f_gelu(held=x.value):
+                return scalar_loss(nn.gelu(Node(held), None).value, proj)
 
-                check_grad(f, held, x.grad, tol)
+            check_grad(f_gelu, x.value, x.grad, 1e-6)
 
             gv = rng.normal(size=width)
             bv = rng.normal(size=width)

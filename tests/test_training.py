@@ -418,6 +418,18 @@ class TestTrainSeq2seq:
                               batch_size=4)
         assert np.mean([r.loss for r in trace[-5:]]) < np.mean([r.loss for r in trace[:5]])
 
+    @pytest.mark.parametrize("batch_size", [0, -2, True])
+    def test_bad_batch_size_rejected_before_any_step(self, batch_size):
+        # 0 and -2 used to run steps on no examples: NaN losses while AdamW
+        # still decayed every weight.
+        state = init_seq2seq_state(ENC, DEC, SplitRng(0))
+        before = {name: p.value.copy() for name, p in state.named_params()}
+        with pytest.raises(ConfigError, match="batch_size"):
+            train_seq2seq(state, copy_pairs(), steps=2, seed=0, batch_size=batch_size,
+                          optimizer=AdamW(base_lr=1e-3, warmup_steps=0))
+        for name, p in state.named_params():
+            assert np.array_equal(p.value, before[name]), name
+
     @pytest.mark.parametrize("val_pairs", [None, []])
     def test_patience_needs_validation_pairs(self, val_pairs):
         state = init_seq2seq_state(ENC, DEC, SplitRng(0))
