@@ -17,9 +17,12 @@ training step at each length in MEMORY_LENGTHS: Hartley mixing, 2 layers,
 d_model 768, d_ff 3072, byte vocabulary. Its ``base_width`` block holds the
 same peaks for BASE_MODEL (``base_encoder_config``'s widths and 32000-token
 vocabulary) at each depth in BASE_LAYERS and length in BASE_LENGTHS, where
-the masked-token head's share of a step shows. Each peak pair (the forward
-pass's and the whole step's) is measured in a fresh process that imports the
-measured checkout's sources.
+the masked-token head's share of a step shows. Its ``seq2seq`` block holds
+the peaks of one ``seq2seq_loss`` step of the hybrid model: a 1-layer
+BASE_MODEL encoder and the default DecoderConfig (HYBRID_DECODER, whose
+widths are BASE_MODEL's) on HYBRID_LENGTHS source and target tokens. Each
+peak pair (the forward pass's and the whole step's) is measured in a fresh
+process that imports the measured checkout's sources.
 
 Files are numbered in order in this repository's root: the first is
 BENCH_0.json, and each later one names the file before it as its parent.
@@ -45,6 +48,8 @@ MEMORY_MODEL = {"n_layers": 2, "d_model": 768, "d_ff": 3072}
 BASE_MODEL = {"d_model": 768, "d_ff": 3072, "vocab_size": 32000}
 BASE_LAYERS = (1, 2)
 BASE_LENGTHS = (1024, 2048)
+HYBRID_DECODER = {"n_layers": 6, "n_heads": 12}
+HYBRID_LENGTHS = (4096, 256)
 
 
 def run_workload(checkout: Path, command: list, workload: str, seed: int,
@@ -69,6 +74,24 @@ def summarize(runs: list, units: dict) -> dict:
     return metrics
 
 
+def _step_peaks(loss_on) -> dict:
+    """Traced peak MiB of the taped forward loss_on(tape) alone and of the whole step."""
+    import tracemalloc
+
+    import specmix as sm
+
+    tracemalloc.start()
+    try:
+        tape = sm.Tape()
+        loss = loss_on(tape)
+        forward = tracemalloc.get_traced_memory()[1]
+        tape.backward(loss)
+        step = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"forward_peak_mib": forward / 2**20, "step_peak_mib": step / 2**20}
+
+
 def mlm_step_peaks(model: dict, seq_len: int) -> dict:
     """Traced peak MiB of one MLM step of a Hartley model: its forward alone and the whole step.
 
@@ -78,8 +101,6 @@ def mlm_step_peaks(model: dict, seq_len: int) -> dict:
     measured checkout's sources must lead it (training_memory runs this in
     such a process).
     """
-    import tracemalloc
-
     import specmix as sm
 
     cfg = sm.EncoderConfig(**{"vocab_size": sm.ByteTokenizer.vocab_size, **model},
@@ -88,41 +109,60 @@ def mlm_step_peaks(model: dict, seq_len: int) -> dict:
     rng = sm.SplitRng(SEEDS[0]).split(1)
     ids = rng.integers(sm.ByteTokenizer.n_specials, cfg.vocab_size, size=seq_len)
     inputs, labels = sm.apply_mlm_mask(ids, sm.MaskingPolicy(), rng, vocab_size=cfg.vocab_size)
-    tracemalloc.start()
-    try:
-        tape = sm.Tape()
-        hidden = sm.encoder_forward(cfg, state, inputs, tape=tape)
-        loss = sm.mlm_loss(cfg, state, hidden, labels, tape)
-        forward = tracemalloc.get_traced_memory()[1]
-        tape.backward(loss)
-        step = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return {"forward_peak_mib": forward / 2**20, "step_peak_mib": step / 2**20}
+    return _step_peaks(lambda tape: sm.mlm_loss(
+        cfg, state, sm.encoder_forward(cfg, state, inputs, tape=tape), labels, tape))
+
+
+def seq2seq_step_peaks(model: dict, decoder: dict, src_len: int, tgt_len: int) -> dict:
+    """Traced peak MiB of one seq2seq_loss step of a hybrid model: its forward alone and the whole step.
+
+    model holds the Hartley encoder's EncoderConfig fields other than
+    max_positions and mixing; the decoder takes its d_model, d_ff and
+    vocab_size, and decoder holds its other DecoderConfig fields. Imports
+    specmix as mlm_step_peaks does.
+    """
+    import specmix as sm
+
+    enc = sm.EncoderConfig(**model, max_positions=src_len, mixing=sm.MixingKind.HARTLEY)
+    dec = sm.DecoderConfig(d_model=enc.d_model, d_ff=enc.d_ff, vocab_size=enc.vocab_size,
+                           **decoder)
+    state = sm.init_seq2seq_state(enc, dec, sm.SplitRng(SEEDS[0]))
+    rng = sm.SplitRng(SEEDS[0]).split(1)
+    source, target = (rng.integers(sm.ByteTokenizer.n_specials, enc.vocab_size, size=n)
+                      for n in (src_len, tgt_len))
+    return _step_peaks(lambda tape: sm.seq2seq_loss(state, source, target, tape))
 
 
 def training_memory(checkout: Path) -> dict:
-    """mlm_step_peaks of MEMORY_MODEL and BASE_MODEL, each in a fresh process of the checkout."""
+    """The step peaks of MEMORY_MODEL, BASE_MODEL and the hybrid model, each in a fresh process."""
     probe = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import bench_trajectory as b; "
-             "print(json.dumps(b.mlm_step_peaks(json.loads(sys.argv[3]), int(sys.argv[4]))))")
+             "print(json.dumps(getattr(b, sys.argv[3])(*json.loads(sys.argv[4]))))")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 
-    def peaks(model, seq_len):
+    def peaks(fn, *args):
         out = subprocess.run(
             [sys.executable, "-c", probe, str(checkout / "src"), str(Path(__file__).parent),
-             json.dumps(model), str(seq_len)],
+             fn, json.dumps(args)],
             cwd=checkout, env=env, capture_output=True, text=True, check=True)
-        print(f"training_memory {model} L={seq_len}: {out.stdout.strip()}", file=sys.stderr)
+        print(f"training_memory {fn}{args}: {out.stdout.strip()}", file=sys.stderr)
         return json.loads(out.stdout)
 
+    hybrid = {**BASE_MODEL, "n_layers": 1}
+    src_len, tgt_len = HYBRID_LENGTHS
     return {"model": {**MEMORY_MODEL, "mixing": "hartley", "vocab": "byte tokenizer"},
             "unit": "MiB", "tool": "tracemalloc",
-            "lengths": {str(n): peaks(MEMORY_MODEL, n) for n in MEMORY_LENGTHS},
+            "lengths": {str(n): peaks("mlm_step_peaks", MEMORY_MODEL, n)
+                        for n in MEMORY_LENGTHS},
             "base_width": {
                 "model": {**BASE_MODEL, "mixing": "hartley"},
-                "layers": {str(depth): {str(n): peaks({**BASE_MODEL, "n_layers": depth}, n)
+                "layers": {str(depth): {str(n): peaks("mlm_step_peaks",
+                                                      {**BASE_MODEL, "n_layers": depth}, n)
                                         for n in BASE_LENGTHS}
-                           for depth in BASE_LAYERS}}}
+                           for depth in BASE_LAYERS}},
+            "seq2seq": {
+                "encoder": {**hybrid, "mixing": "hartley"}, "decoder": HYBRID_DECODER,
+                "source_length": src_len, "target_length": tgt_len,
+                **peaks("seq2seq_step_peaks", hybrid, HYBRID_DECODER, src_len, tgt_len)}}
 
 
 def next_file() -> tuple:

@@ -278,9 +278,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_bench(args) -> int:
     seq_lens = [int(part) for part in args.seq_lens.split(",") if part.strip()]
-    warning = unclamped_blas_warning()
-    if warning is not None:
-        print(f"warning: {warning}", file=sys.stderr)
     results = bench_mixing_vs_attention(
         seq_lens,
         d_model=args.d_model,
@@ -289,6 +286,10 @@ def cmd_bench(args) -> int:
         warmup=args.warmup,
         seed=args.seed if args.seed is not None else 0,
     )
+    # warned once the arguments passed, so a rejected command prints one error line
+    warning = unclamped_blas_warning()
+    if warning is not None:
+        print(f"warning: {warning}", file=sys.stderr)
     print(results_markdown(results), end="")
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -129,7 +129,8 @@ def init_encoder_state(cfg: EncoderConfig, rng: SplitRng, with_mlm_head=True) ->
 def mix_tokens(x: Node, kind: MixingKind, tape: Tape | None) -> Node:
     """The parameter-free mixing sub-layer as a taped op over [L, H] activations."""
     out = Node(mix2d(x.value, kind))
-    nn._record(tape, out, lambda g: x.add_grad(mix2d_vjp(kind, x.value, g)))
+    cot, xv = x.cot, (None if kind.is_linear else x.value)  # linear kinds' VJP never reads x
+    nn._record(tape, out, lambda g: cot.add(mix2d_vjp(kind, xv, g)))
     return out
 
 

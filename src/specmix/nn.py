@@ -9,6 +9,8 @@ each closure, with the activations it captured and its output node's
 cotangent, is freed as soon as it has run, so a training step peaks near its
 forward pass instead of holding every activation until the tape is dropped.
 Ops called with ``tape=None`` run forward only, which is the inference path.
+A closure holds its inputs' cotangents (a node's :class:`Cotangent`, apart
+from its value) and only the arrays its VJP reads, never a Node.
 
 Freeing mid-backward changes how the C allocator behaves. glibc's dynamic
 trim threshold settles near twice the largest array freed, so each free at
@@ -58,22 +60,42 @@ def _set_allocator_policy() -> None:
 _set_allocator_policy()
 
 
-class Node:
-    """A float64 array plus a lazily allocated cotangent."""
+class Cotangent:
+    """A node's lazily allocated gradient buffer, which backward closures hold."""
 
-    __slots__ = ("value", "grad")
+    __slots__ = ("grad",)
 
-    def __init__(self, value):
-        self.value = np.asarray(value, dtype=np.float64)
+    def __init__(self):
         self.grad = None
 
-    def add_grad(self, g) -> None:
+    def add(self, g) -> None:
         if self.grad is None:
             # a copy: later cotangents add in place, and g may be a read-only
             # view or shared with another node (add hands one g to both inputs)
             self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad += g
+
+
+class Node:
+    """A float64 array plus its Cotangent."""
+
+    __slots__ = ("value", "cot")
+
+    def __init__(self, value):
+        self.value = np.asarray(value, dtype=np.float64)
+        self.cot = Cotangent()
+
+    @property
+    def grad(self):
+        return self.cot.grad
+
+    @grad.setter
+    def grad(self, g) -> None:
+        self.cot.grad = g
+
+    def add_grad(self, g) -> None:
+        self.cot.add(g)
 
 
 class Parameter(Node):
@@ -160,21 +182,24 @@ class Tape:
 def _record(tape: Tape | None, out: Node, backward) -> None:
     """Record backward(out.grad) on tape, skipped when no cotangent reached out.
 
-    Private and called from each op's own frame, so a tracer that wraps the
-    public ops attributes every closure to the op that recorded it.
+    It holds out's Cotangent, not out. Private and called from each op's own
+    frame, so a tracer that wraps the public ops attributes every closure to
+    the op that recorded it.
     """
     if tape is not None:
-        tape.record(lambda: out.grad is None or backward(out.grad))
+        cot = out.cot
+        tape.record(lambda: cot.grad is None or backward(cot.grad))
 
 
 def add(a: Node, b: Node, tape: Tape | None) -> Node:
     if a.value.shape != b.value.shape:
         raise ShapeError(f"add shapes differ: {a.value.shape} vs {b.value.shape}")
     out = Node(a.value + b.value)
+    a_cot, b_cot = a.cot, b.cot
 
     def backward(g):
-        a.add_grad(g)
-        b.add_grad(g)
+        a_cot.add(g)
+        b_cot.add(g)
     _record(tape, out, backward)
     return out
 
@@ -189,16 +214,18 @@ def linear(x: Node, w: Node, b: Node, tape: Tape | None) -> Node:
         raise ShapeError(
             f"linear: bias shape {b.value.shape} does not match weight shape {w.value.shape}"
         )
-    y = x.value @ w.value
+    xv, wv = x.value, w.value
+    y = xv @ wv
     y += b.value
     out = Node(y)
+    x_cot, w_cot, b_cot = x.cot, w.cot, b.cot
 
     def backward(g):
-        lead = x.value.reshape(-1, x.value.shape[-1])
+        lead = xv.reshape(-1, xv.shape[-1])
         gflat = g.reshape(-1, g.shape[-1])
-        w.add_grad(lead.T @ gflat)
-        b.add_grad(gflat.sum(axis=0))
-        x.add_grad((g @ w.value.T).reshape(x.value.shape))
+        w_cot.add(lead.T @ gflat)
+        b_cot.add(gflat.sum(axis=0))
+        x_cot.add((g @ wv.T).reshape(xv.shape))
     _record(tape, out, backward)
     return out
 
@@ -212,20 +239,22 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float, tape: Tape | None) 
     var = y.mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
-    np.multiply(xhat, gamma.value, out=y)
+    gv = gamma.value
+    np.multiply(xhat, gv, out=y)
     y += beta.value
     out = Node(y)
+    lead = (-1, v.shape[-1])
+    x_cot, gamma_cot, beta_cot = x.cot, gamma.cot, beta.cot
 
     def backward(g):
-        lead = (-1, v.shape[-1])
         gf = g.reshape(lead)
         xh = xhat.reshape(lead)
-        gamma.add_grad((gf * xh).sum(axis=0))
-        beta.add_grad(gf.sum(axis=0))
-        d = g * gamma.value
+        gamma_cot.add((gf * xh).sum(axis=0))
+        beta_cot.add(gf.sum(axis=0))
+        d = g * gv
         dmean = d.mean(axis=-1, keepdims=True)
         dproj = (d * xhat).mean(axis=-1, keepdims=True)
-        x.add_grad((d - dmean - xhat * dproj) * inv_std)
+        x_cot.add((d - dmean - xhat * dproj) * inv_std)
     _record(tape, out, backward)
     return out
 
@@ -239,18 +268,19 @@ def gelu(x: Node, tape: Tape | None) -> Node:
     cdf += 1.0
     cdf *= 0.5
     out = Node(v * cdf)
+    if tape is None:
+        return out
+    # the derivative cdf + v * pdf(v): the tape keeps it instead of v and the CDF
+    d = np.multiply(v, v, out=np.empty_like(v))
+    d *= -0.5
+    np.exp(d, out=d)
+    d *= _INV_SQRT_2PI
+    d *= v
+    d += cdf
+    x_cot = x.cot
 
     def backward(g):
-        # g * (cdf + v * pdf(v)) in one buffer: at [L, d_ff] each temporary
-        # costs as much as the stored CDF
-        d = np.multiply(v, v, out=np.empty_like(v))
-        d *= -0.5
-        np.exp(d, out=d)
-        d *= _INV_SQRT_2PI
-        d *= v
-        d += cdf
-        d *= g
-        x.add_grad(d)
+        x_cot.add(np.multiply(d, g, out=d))  # in place: backward runs once
     _record(tape, out, backward)
     return out
 
@@ -276,11 +306,12 @@ def embedding_lookup(ids, table: Node, tape: Tape | None) -> Node:
         offender = ids[bad].ravel()[0]
         raise ShapeError(f"embedding id {offender} out of range [0, {vocab})")
     out = Node(table.value[ids])
+    table_cot, shape = table.cot, table.value.shape
 
     def backward(g):
-        if table.grad is None:
-            table.grad = np.zeros_like(table.value)
-        np.add.at(table.grad, ids, g)
+        if table_cot.grad is None:
+            table_cot.grad = np.zeros(shape)
+        np.add.at(table_cot.grad, ids, g)
     _record(tape, out, backward)
     return out
 
@@ -291,12 +322,14 @@ def tied_logits(x: Node, emb: Node, bias: Node, tape: Tape | None) -> Node:
         raise ShapeError(
             f"tied_logits: input shape {x.value.shape} vs embedding shape {emb.value.shape}"
         )
-    out = Node(x.value @ emb.value.T + bias.value)
+    xv, ev = x.value, emb.value
+    out = Node(xv @ ev.T + bias.value)
+    x_cot, emb_cot, bias_cot = x.cot, emb.cot, bias.cot
 
     def backward(g):
-        emb.add_grad(g.T @ x.value)
-        bias.add_grad(g.sum(axis=0))
-        x.add_grad(g @ emb.value)
+        emb_cot.add(g.T @ xv)
+        bias_cot.add(g.sum(axis=0))
+        x_cot.add(g @ ev)
     _record(tape, out, backward)
     return out
 
@@ -324,12 +357,14 @@ def masked_cross_entropy(logits: Node, labels, tape: Tape | None) -> Node:
     rows = np.nonzero(flat_active)[0]
     loss = float(-flat_logp[rows, flat_labels[rows]].sum() / n_active)
     out = Node(loss)
+    logits_cot, shape = logits.cot, v.shape
 
     def backward(g):
         d = np.exp(flat_logp)
         d[rows, flat_labels[rows]] -= 1.0
         d[~flat_active] = 0.0
-        logits.add_grad((float(g) / n_active) * d.reshape(v.shape))
+        d *= float(g) / n_active
+        logits_cot.add(d.reshape(shape))
     _record(tape, out, backward)
     return out
 
@@ -388,6 +423,7 @@ def multi_head_attention(q: Node, k: Node, v: Node, n_heads: int, tape: Tape | N
     weights = np.empty((n_heads, l_q, l_k)) if tape is not None else None
     out = Node(_attend(qh, kh, vh, bias, weights).reshape(l_q, d))
     scale = 1.0 / np.sqrt(heads[1])
+    q_cot, k_cot, v_cot = q.cot, k.cot, v.cot
 
     def backward(g):
         gh = g.reshape(l_q, *heads)
@@ -401,8 +437,8 @@ def multi_head_attention(q: Node, k: Node, v: Node, n_heads: int, tape: Tape | N
             ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
             dq[:, h, :] = ds @ kh[:, h, :]
             dk[:, h, :] = ds.T @ qh[:, h, :]
-        q.add_grad(dq.reshape(l_q, d))
-        k.add_grad(dk.reshape(l_k, d))
-        v.add_grad(dv.reshape(l_k, d))
+        q_cot.add(dq.reshape(l_q, d))
+        k_cot.add(dk.reshape(l_k, d))
+        v_cot.add(dv.reshape(l_k, d))
     _record(tape, out, backward)
     return out

@@ -295,7 +295,7 @@ def generate(state: Seq2SeqState, source_ids, gen: GenerationConfig) -> list:
     [B, t, d_model] pair per layer for B live hypotheses after t steps, and
     each step runs all of them through the decoder as one [B, d_model] batch
     that extends those caches by one position; beam selection reorders the
-    caches to the kept hypotheses.
+    caches to the kept hypotheses unless they kept their places.
 
     Hypotheses are ranked by mean log-probability per generated token; ties
     break toward the lower token id, then the earlier hypothesis. The n-gram
@@ -348,7 +348,8 @@ def generate(state: Seq2SeqState, source_ids, gen: GenerationConfig) -> list:
         live = next_live
         if not live or len(finished) >= gen.beam_size:
             break
-        self_kv = [(k[keep], v[keep]) for k, v in self_kv]
+        if keep != list(range(len(self_kv[0][0]))):  # beam 1 always keeps its row in place
+            self_kv = [(k[keep], v[keep]) for k, v in self_kv]
 
     if finished:
         finished.sort(key=lambda c: -c[0])

@@ -38,12 +38,17 @@ def test_training_memory_measures_each_length_in_a_fresh_process(trajectory, mon
     monkeypatch.setattr(trajectory, "MEMORY_LENGTHS", (32,))
     monkeypatch.setattr(trajectory, "BASE_MODEL", {"d_model": 16, "d_ff": 32, "vocab_size": 300})
     monkeypatch.setattr(trajectory, "BASE_LENGTHS", (16, 32))
+    monkeypatch.setattr(trajectory, "HYBRID_DECODER", {"n_layers": 1, "n_heads": 2})
+    monkeypatch.setattr(trajectory, "HYBRID_LENGTHS", (32, 8))
     got = trajectory.training_memory(trajectory.ROOT)
     assert got["unit"] == "MiB" and got["model"]["n_layers"] == 2
     assert got["base_width"]["model"]["vocab_size"] == 300
     assert sorted(got["base_width"]["layers"]) == ["1", "2"]
-    rows = [got["lengths"]["32"], *(got["base_width"]["layers"][depth][n]
-                                     for depth in ("1", "2") for n in ("16", "32"))]
+    hybrid = got["seq2seq"]
+    assert hybrid["encoder"]["n_layers"] == 1 and hybrid["decoder"]["n_heads"] == 2
+    assert (hybrid["source_length"], hybrid["target_length"]) == (32, 8)
+    rows = [got["lengths"]["32"], hybrid, *(got["base_width"]["layers"][depth][n]
+                                             for depth in ("1", "2") for n in ("16", "32"))]
     for peaks in rows:
         assert 0 < peaks["forward_peak_mib"] <= peaks["step_peak_mib"]
 
@@ -53,3 +58,10 @@ def test_base_model_has_the_base_config_widths(trajectory):
 
     base = base_encoder_config()
     assert trajectory.BASE_MODEL == {name: getattr(base, name) for name in trajectory.BASE_MODEL}
+
+
+def test_hybrid_decoder_is_the_default_decoder_config(trajectory):
+    from specmix.seq2seq import DecoderConfig
+
+    widths = {name: trajectory.BASE_MODEL[name] for name in ("d_model", "d_ff", "vocab_size")}
+    assert DecoderConfig(**widths, **trajectory.HYBRID_DECODER) == DecoderConfig()

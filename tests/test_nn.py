@@ -1,5 +1,6 @@
 """Dense op forward values (hand-derived) and VJPs against finite differences."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -8,8 +9,10 @@ from scipy.special import erf
 
 from fdcheck import check_grad
 from specmix import nn
+from specmix.encoder import mix_tokens
 from specmix.errors import ShapeError
 from specmix.nn import Node, Parameter, Tape
+from specmix.spectral import MixingKind
 
 
 def scalar_loss(out_value, proj):
@@ -207,6 +210,58 @@ class TestGelu:
         cdf = 0.5 * (1.0 + erf(xv * nn._INV_SQRT2))
         pdf = nn._INV_SQRT_2PI * np.exp(-0.5 * xv * xv)
         assert x.grad.tobytes() == (g * (cdf + xv * pdf)).tobytes()
+
+    def test_taped_and_untaped_forwards_are_bit_equal(self):
+        xv = np.random.default_rng(6).normal(size=(7, 5)) * 3
+        taped = nn.gelu(Node(xv), Tape()).value
+        assert taped.tobytes() == nn.gelu(Node(xv), None).value.tobytes()
+
+
+def keeps_input_value(op, shape) -> bool:
+    """Whether the tape keeps a taped op's input value once the caller drops the input Node.
+
+    The input is itself a taped add's output, so its producer's record is on
+    the tape too. Backward still reaches the input's cotangent afterwards.
+    """
+    rng = np.random.default_rng(8)
+    tape = Tape()
+    x = nn.add(Node(rng.normal(size=shape)), Node(rng.normal(size=shape)), tape)
+    value, cot = x.value, x.cot
+    out = op(x, tape)
+    del x
+    probe = np.empty(0)  # an array only this frame holds
+    kept = sys.getrefcount(value) > sys.getrefcount(probe)
+    tape.backward(out)
+    assert cot.grad is not None and cot.grad.shape == shape
+    return kept
+
+
+class TestTapeKeepsOnlyWhatBackwardReads:
+    """Closures hold their inputs' cotangents and the arrays their VJPs read, never a Node."""
+
+    FREED = {
+        "add": lambda x, tape: nn.add(x, Node(np.ones((3, 4))), tape),
+        "layer_norm": lambda x, tape: nn.layer_norm(x, Node(np.ones(4)), Node(np.zeros(4)),
+                                                    1e-5, tape),
+        "gelu": nn.gelu,
+        "masked_cross_entropy": lambda x, tape: nn.masked_cross_entropy(x, [0, -1, 3], tape),
+        "mix_tokens hartley": lambda x, tape: mix_tokens(x, MixingKind.HARTLEY, tape),
+    }
+    KEPT = {
+        "linear": lambda x, tape: nn.linear(x, Node(np.ones((4, 2))), Node(np.zeros(2)), tape),
+        "tied_logits": lambda x, tape: nn.tied_logits(x, Node(np.ones((6, 4))),
+                                                      Node(np.zeros(6)), tape),
+        "mix_tokens modulus": lambda x, tape: mix_tokens(x, MixingKind.MODULUS, tape),
+        "mix_tokens phase": lambda x, tape: mix_tokens(x, MixingKind.PHASE, tape),
+    }
+
+    @pytest.mark.parametrize("name", FREED)
+    def test_input_value_is_freed(self, name):
+        assert not keeps_input_value(self.FREED[name], (3, 4))
+
+    @pytest.mark.parametrize("name", KEPT)
+    def test_input_value_that_backward_reads_is_kept(self, name):
+        assert keeps_input_value(self.KEPT[name], (3, 4))
 
 
 class TestSoftmax:
