@@ -130,7 +130,7 @@ def mix_tokens(x: Node, kind: MixingKind, tape: Tape | None) -> Node:
     """The parameter-free mixing sub-layer as a taped op over [L, H] activations."""
     out = Node(mix2d(x.value, kind))
     cot, xv = x.cot, (None if kind.is_linear else x.value)  # linear kinds' VJP never reads x
-    nn._record(tape, out, lambda g: cot.add(mix2d_vjp(kind, xv, g)))
+    nn._record(tape, out, lambda g: cot.add(mix2d_vjp(kind, xv, g), owned=True))
     return out
 
 

@@ -10,7 +10,9 @@ cotangent, is freed as soon as it has run, so a training step peaks near its
 forward pass instead of holding every activation until the tape is dropped.
 Ops called with ``tape=None`` run forward only, which is the inference path.
 A closure holds its inputs' cotangents (a node's :class:`Cotangent`, apart
-from its value) and only the arrays its VJP reads, never a Node.
+from its value) and only the arrays its VJP reads, never a Node. Taped
+attention keeps no softmax weights: its backward recomputes each head's from
+the saved queries and keys with the forward's own code, bit for bit.
 
 Freeing mid-backward changes how the C allocator behaves. glibc's dynamic
 trim threshold settles near twice the largest array freed, so each free at
@@ -68,11 +70,12 @@ class Cotangent:
     def __init__(self):
         self.grad = None
 
-    def add(self, g) -> None:
+    def add(self, g, owned: bool = False) -> None:
+        """Accumulate g; owned hands over a fresh float64 array that nothing else reads."""
         if self.grad is None:
-            # a copy: later cotangents add in place, and g may be a read-only
-            # view or shared with another node (add hands one g to both inputs)
-            self.grad = np.array(g, dtype=np.float64)
+            # unless owned, a copy: later cotangents add in place, and g may be a
+            # read-only view or shared with another node (add hands one g to both)
+            self.grad = g if owned else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -225,25 +228,25 @@ def linear(x: Node, w: Node, b: Node, tape: Tape | None) -> Node:
         gflat = g.reshape(-1, g.shape[-1])
         w_cot.add(lead.T @ gflat)
         b_cot.add(gflat.sum(axis=0))
-        x_cot.add((g @ wv.T).reshape(xv.shape))
+        x_cot.add((g @ wv.T).reshape(xv.shape), owned=True)
     _record(tape, out, backward)
     return out
 
 
 def layer_norm(x: Node, gamma: Node, beta: Node, eps: float, tape: Tape | None) -> Node:
     """Normalize the last axis to zero mean / unit population variance, then scale-shift."""
-    v = x.value
-    mean = v.mean(axis=-1, keepdims=True)
-    xhat = v - mean  # centered here, normalized in place below
+    v, n = x.value, x.value.shape[-1]
+    # sum / n is np.mean's arithmetic, without its Python wrapper
+    xhat = v - v.sum(axis=-1, keepdims=True) / n  # centered here, normalized in place below
     y = xhat * xhat  # squares here, the output below
-    var = y.mean(axis=-1, keepdims=True)
+    var = y.sum(axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
     xhat *= inv_std
     gv = gamma.value
     np.multiply(xhat, gv, out=y)
     y += beta.value
     out = Node(y)
-    lead = (-1, v.shape[-1])
+    lead = (-1, n)
     x_cot, gamma_cot, beta_cot = x.cot, gamma.cot, beta.cot
 
     def backward(g):
@@ -251,10 +254,14 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float, tape: Tape | None) 
         xh = xhat.reshape(lead)
         gamma_cot.add((gf * xh).sum(axis=0))
         beta_cot.add(gf.sum(axis=0))
+        # dx = (d - mean(d) - xhat * mean(d * xhat)) * inv_std, built in d and
+        # xhat in that order: backward runs once
         d = g * gv
-        dmean = d.mean(axis=-1, keepdims=True)
-        dproj = (d * xhat).mean(axis=-1, keepdims=True)
-        x_cot.add((d - dmean - xhat * dproj) * inv_std)
+        dproj = (d * xhat).sum(axis=-1, keepdims=True) / n
+        d -= d.sum(axis=-1, keepdims=True) / n
+        d -= np.multiply(xhat, dproj, out=xhat)
+        d *= inv_std
+        x_cot.add(d, owned=True)
     _record(tape, out, backward)
     return out
 
@@ -280,15 +287,17 @@ def gelu(x: Node, tape: Tape | None) -> Node:
     x_cot = x.cot
 
     def backward(g):
-        x_cot.add(np.multiply(d, g, out=d))  # in place: backward runs once
+        x_cot.add(np.multiply(d, g, out=d), owned=True)  # in place: backward runs once
     _record(tape, out, backward)
     return out
 
 
 def _softmax_rows(v: np.ndarray) -> np.ndarray:
-    shifted = v - v.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax along the last axis of float64 v, computed in v, which it returns."""
+    v -= v.max(axis=-1, keepdims=True)
+    np.exp(v, out=v)
+    v /= v.sum(axis=-1, keepdims=True)
+    return v
 
 
 def log_softmax_rows(v: np.ndarray) -> np.ndarray:
@@ -311,7 +320,12 @@ def embedding_lookup(ids, table: Node, tape: Tape | None) -> Node:
     def backward(g):
         if table_cot.grad is None:
             table_cot.grad = np.zeros(shape)
-        np.add.at(table_cot.grad, ids, g)
+        elif not table_cot.grad.flags.c_contiguous:  # the scatter below needs a flat view
+            table_cot.grad = np.ascontiguousarray(table_cot.grad)
+        # one 1-D scatter of every element, in the order a 2-D np.add.at adds them
+        row = math.prod(shape[1:])
+        flat = ids.reshape(-1, 1) * row + np.arange(row)
+        np.add.at(table_cot.grad.reshape(-1), flat, g.reshape(flat.shape))
     _record(tape, out, backward)
     return out
 
@@ -329,7 +343,7 @@ def tied_logits(x: Node, emb: Node, bias: Node, tape: Tape | None) -> Node:
     def backward(g):
         emb_cot.add(g.T @ xv)
         bias_cot.add(g.sum(axis=0))
-        x_cot.add(g @ ev)
+        x_cot.add(g @ ev, owned=True)
     _record(tape, out, backward)
     return out
 
@@ -364,30 +378,31 @@ def masked_cross_entropy(logits: Node, labels, tape: Tape | None) -> Node:
         d[rows, flat_labels[rows]] -= 1.0
         d[~flat_active] = 0.0
         d *= float(g) / n_active
-        logits_cot.add(d.reshape(shape))
+        logits_cot.add(d.reshape(shape), owned=True)
     _record(tape, out, backward)
     return out
 
 
-def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, bias=None,
-            weights: np.ndarray | None = None) -> np.ndarray:
+def _head_weights(qh: np.ndarray, kh: np.ndarray, scale: float, bias) -> np.ndarray:
+    """One head's softmax(q k^T * scale + bias): the one routine forward and backward run."""
+    a = qh @ np.swapaxes(kh, -1, -2)
+    a *= scale
+    if bias is not None:
+        a += bias
+    return _softmax_rows(a)
+
+
+def _attend(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, bias=None) -> np.ndarray:
     """Per-head softmax(q k^T / sqrt(d_h) + bias) v over projected, head-split inputs.
 
     qh is [..., L_q, H, d_h] and kh, vh are [..., L_k, H, d_h] with leading
     axes that broadcast against q's, so one key set can serve a batch of
-    queries. Heads run one at a time. When given, weights [H, L_q, L_k]
-    receives each head's softmax.
+    queries. Heads run one at a time and no head's weights outlive its turn.
     """
     scale = 1.0 / np.sqrt(qh.shape[-1])
     ctx = np.empty(qh.shape)
     for h in range(qh.shape[-2]):
-        scores = (qh[..., h, :] @ np.swapaxes(kh[..., h, :], -1, -2)) * scale
-        if bias is not None:
-            scores += bias
-        a = _softmax_rows(scores)
-        if weights is not None:
-            weights[h] = a
-        ctx[..., h, :] = a @ vh[..., h, :]
+        ctx[..., h, :] = _head_weights(qh[..., h, :], kh[..., h, :], scale, bias) @ vh[..., h, :]
     return ctx
 
 
@@ -399,8 +414,10 @@ def multi_head_attention(q: Node, k: Node, v: Node, n_heads: int, tape: Tape | N
     so 2-D keys serve every query and keys [B, t, d] give each of B groups of
     query rows its own key set. causal keeps only keys j <= i for query row i
     of a group. Returns the per-head context [L_q, d], before any output
-    projection. Heads run one at a time, which bounds scratch memory to one
-    score matrix during inference. Only 2-D keys can be taped.
+    projection. Heads run one at a time, which bounds scratch memory to a few
+    score matrices. Only 2-D keys can be taped. The tape keeps no [H, L_q, L_k]
+    weights: backward recomputes each head's softmax from q and k with
+    _head_weights, as the forward ran it, so the gradients are the same bits.
     """
     qv, kv = q.value, k.value
     if qv.ndim != 2 or kv.ndim < 2 or kv.shape != v.value.shape or kv.shape[-1] != qv.shape[1]:
@@ -420,8 +437,7 @@ def multi_head_attention(q: Node, k: Node, v: Node, n_heads: int, tape: Tape | N
     bias = None
     if causal:
         bias = np.where(np.tril(np.ones((rows, l_k), dtype=bool)), 0.0, -np.inf)
-    weights = np.empty((n_heads, l_q, l_k)) if tape is not None else None
-    out = Node(_attend(qh, kh, vh, bias, weights).reshape(l_q, d))
+    out = Node(_attend(qh, kh, vh, bias).reshape(l_q, d))
     scale = 1.0 / np.sqrt(heads[1])
     q_cot, k_cot, v_cot = q.cot, k.cot, v.cot
 
@@ -431,14 +447,17 @@ def multi_head_attention(q: Node, k: Node, v: Node, n_heads: int, tape: Tape | N
         dk = np.empty_like(kh)
         dv = np.empty_like(vh)
         for h in range(n_heads):
-            a = weights[h]
+            a = _head_weights(qh[:, h, :], kh[:, h, :], scale, bias)
             da = gh[:, h, :] @ vh[:, h, :].T
             dv[:, h, :] = a.T @ gh[:, h, :]
-            ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
-            dq[:, h, :] = ds @ kh[:, h, :]
-            dk[:, h, :] = ds.T @ qh[:, h, :]
-        q_cot.add(dq.reshape(l_q, d))
-        k_cot.add(dk.reshape(l_k, d))
-        v_cot.add(dv.reshape(l_k, d))
+            # the score cotangent (da - sum(da * a)) * a * scale, built in da
+            da -= (da * a).sum(axis=-1, keepdims=True)
+            da *= a
+            da *= scale
+            dq[:, h, :] = da @ kh[:, h, :]
+            dk[:, h, :] = da.T @ qh[:, h, :]
+        q_cot.add(dq.reshape(l_q, d), owned=True)
+        k_cot.add(dk.reshape(l_k, d), owned=True)
+        v_cot.add(dv.reshape(l_k, d), owned=True)
     _record(tape, out, backward)
     return out

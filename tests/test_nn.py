@@ -1,6 +1,7 @@
 """Dense op forward values (hand-derived) and VJPs against finite differences."""
 
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -42,6 +43,14 @@ class TestTapeAndNodes:
         assert np.array_equal(x.grad, [10.0, 14.0])
         assert np.array_equal(out.grad, [5.0, 7.0])
         assert np.array_equal(seed, [5.0, 7.0])
+
+    def test_owned_cotangent_is_handed_over_and_others_copied(self):
+        cot, fresh, shared = nn.Cotangent(), np.array([1.0, 2.0]), np.array([3.0, 4.0])
+        cot.add(fresh, owned=True)
+        assert cot.grad is fresh
+        other = nn.Cotangent()
+        other.add(shared)
+        assert other.grad is not shared and np.array_equal(other.grad, shared)
 
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -304,6 +313,21 @@ class TestEmbeddingLookup:
         assert np.array_equal(table.grad[3], [11.0, 22.0])
         assert not table.grad[[0, 1, 2, 4]].any()
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_scatter_matches_row_add_at_bit_for_bit(self, order):
+        # The flat scatter adds each element in the order a 2-D np.add.at
+        # does, into a gradient that already holds a cotangent of any layout.
+        rng = np.random.default_rng(8)
+        ids = rng.integers(0, 6, size=(40,))
+        start, g = rng.normal(size=(6, 5)), rng.normal(size=(40, 5))
+        table = Node(np.zeros((6, 5)))
+        table.grad = np.array(start, order=order)
+        tape = Tape()
+        tape.backward(nn.embedding_lookup(ids, table, tape), seed=g)
+        expected = start.copy()
+        np.add.at(expected, ids, g)
+        assert np.array_equal(table.grad, expected)
+
     def test_grads_match_fd(self):
         rng = np.random.default_rng(3)
         ev = rng.normal(size=(5, 3))
@@ -542,6 +566,62 @@ class TestMultiHeadAttention:
         # equally, so its true gradient is identically zero and FD sees noise.
         for tensor in params.values():
             check_grad(f, tensor.value, tensor.grad, 1e-4, zero_floor=1e-8)
+
+
+def stored_weights_attention_grads(qv, kv, vv, n_heads, g, causal):
+    """q, k and v cotangents of the attention op from each head's stored _softmax_rows output."""
+    (l_q, d), l_k, d_h = qv.shape, kv.shape[0], qv.shape[1] // n_heads
+    qh, kh, vh = (x.reshape(len(x), n_heads, d_h) for x in (qv, kv, vv))
+    gh = g.reshape(l_q, n_heads, d_h)
+    scale = 1.0 / np.sqrt(d_h)
+    weights = []
+    for h in range(n_heads):
+        scores = (qh[:, h, :] @ kh[:, h, :].T) * scale
+        if causal:
+            scores += np.where(np.tril(np.ones((l_q, l_k), dtype=bool)), 0.0, -np.inf)
+        weights.append(nn._softmax_rows(scores))
+    dq, dk, dv = np.empty_like(qh), np.empty_like(kh), np.empty_like(vh)
+    for h, a in enumerate(weights):
+        da = gh[:, h, :] @ vh[:, h, :].T
+        dv[:, h, :] = a.T @ gh[:, h, :]
+        ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a * scale
+        dq[:, h, :] = ds @ kh[:, h, :]
+        dk[:, h, :] = ds.T @ qh[:, h, :]
+    return dq.reshape(l_q, d), dk.reshape(l_k, d), dv.reshape(l_k, d)
+
+
+class TestAttentionRecomputesWeights:
+    """The taped op keeps no softmax weights and its backward recomputes them bit for bit."""
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_cotangents_equal_the_stored_weights_backward(self, causal):
+        rng = np.random.default_rng(31 + causal)
+        l_q, l_k, n_heads, d = 5, 9, 3, 12
+        qv, (kv, vv) = rng.normal(size=(l_q, d)), rng.normal(size=(2, l_k, d))
+        g = rng.normal(size=(l_q, d))
+        q, k, v = Node(qv), Node(kv), Node(vv)
+        tape = Tape()
+        tape.backward(nn.multi_head_attention(q, k, v, n_heads, tape, causal), seed=g)
+        expected = stored_weights_attention_grads(qv, kv, vv, n_heads, g, causal)
+        for node, want in zip((q, k, v), expected):
+            assert np.array_equal(node.grad, want)
+
+    def test_taped_forward_holds_no_weights(self):
+        rng = np.random.default_rng(2)
+        l_q, l_k, n_heads, d = 8, 512, 4, 16
+        tracemalloc.start()
+        try:
+            q, k, v = Node(rng.normal(size=(l_q, d))), *(Node(rng.normal(size=(l_k, d)))
+                                                         for _ in range(2))
+            tape = Tape()
+            out = nn.multi_head_attention(q, k, v, n_heads, tape)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        weights_bytes = n_heads * l_q * l_k * 8
+        assert held < weights_bytes + sum(x.value.nbytes for x in (q, k, v, out)), held
+        tape.backward(out)
+        assert k.grad.shape == (l_k, d)
 
 
 class TestGradientSweep:
