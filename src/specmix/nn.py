@@ -322,10 +322,11 @@ def embedding_lookup(ids, table: Node, tape: Tape | None) -> Node:
             table_cot.grad = np.zeros(shape)
         elif not table_cot.grad.flags.c_contiguous:  # the scatter below needs a flat view
             table_cot.grad = np.ascontiguousarray(table_cot.grad)
-        # one 1-D scatter of every element, in the order a 2-D np.add.at adds them
+        # one scatter of every element, in the order a 2-D np.add.at adds them;
+        # 1-D indices and values take np.add.at's fast path
         row = math.prod(shape[1:])
-        flat = ids.reshape(-1, 1) * row + np.arange(row)
-        np.add.at(table_cot.grad.reshape(-1), flat, g.reshape(flat.shape))
+        flat = (ids.reshape(-1, 1) * row + np.arange(row)).reshape(-1)
+        np.add.at(table_cot.grad.reshape(-1), flat, g.reshape(-1))
     _record(tape, out, backward)
     return out
 
