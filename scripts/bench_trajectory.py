@@ -174,13 +174,18 @@ def next_file() -> tuple:
 
 
 def commit_of(checkout: Path) -> dict:
-    """The checkout's HEAD and whether its tracked files differ from it (None outside git)."""
+    """The checkout's HEAD and whether its measured tracked files differ from it.
+
+    Measured files are the sources, the benchmark and the scripts; an edited
+    document leaves the flag false. Both are None outside git.
+    """
     def git(*args):
         out = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
         return out.stdout.strip() if out.returncode == 0 else None
 
     head = git("rev-parse", "HEAD")
-    dirty = git("status", "--porcelain", "--untracked-files=no")
+    dirty = git("status", "--porcelain", "--untracked-files=no",
+                "--", "src", "perfbench", "scripts", "BENCHMARK.json")
     return {"head": head, "uncommitted_changes": bool(dirty) if head else None}
 
 

@@ -61,7 +61,6 @@ from .training import (
     ByteTokenizer,
     EarlyStopper,
     MaskingPolicy,
-    PackedDataset,
     TraceRow,
     apply_mlm_mask,
     load_corpus_jsonl,
@@ -90,7 +89,6 @@ __all__ = [
     "MaskingPolicy",
     "MixingKind",
     "Node",
-    "PackedDataset",
     "Parameter",
     "RougeScore",
     "RunConfig",

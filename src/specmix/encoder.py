@@ -61,6 +61,20 @@ def base_encoder_config(max_positions=4096, mixing=MixingKind.FOURIER_REAL) -> E
     )
 
 
+def _tail_shapes(prefix, norm, d, ff) -> dict:
+    """Name -> shape for the parameters _row_sublayers reads under prefix, in creation order."""
+    return {
+        f"{prefix}.{norm}.gamma": (d,),
+        f"{prefix}.{norm}.beta": (d,),
+        f"{prefix}.ff.w1": (d, ff),
+        f"{prefix}.ff.b1": (ff,),
+        f"{prefix}.ff.w2": (ff, d),
+        f"{prefix}.ff.b2": (d,),
+        f"{prefix}.ff_ln.gamma": (d,),
+        f"{prefix}.ff_ln.beta": (d,),
+    }
+
+
 def param_shapes(cfg: EncoderConfig, with_mlm_head=True) -> dict:
     """Name -> shape for every parameter, the single source of state layout.
 
@@ -76,14 +90,7 @@ def param_shapes(cfg: EncoderConfig, with_mlm_head=True) -> dict:
         "embeddings.ln.beta": (d,),
     }
     for i in range(cfg.n_layers):
-        shapes[f"layer{i}.mixing_ln.gamma"] = (d,)
-        shapes[f"layer{i}.mixing_ln.beta"] = (d,)
-        shapes[f"layer{i}.ff.w1"] = (d, ff)
-        shapes[f"layer{i}.ff.b1"] = (ff,)
-        shapes[f"layer{i}.ff.w2"] = (ff, d)
-        shapes[f"layer{i}.ff.b2"] = (d,)
-        shapes[f"layer{i}.ff_ln.gamma"] = (d,)
-        shapes[f"layer{i}.ff_ln.beta"] = (d,)
+        shapes.update(_tail_shapes(f"layer{i}", "mixing_ln", d, ff))
     shapes["pooler.w"] = (d, d)
     shapes["pooler.b"] = (d,)
     if with_mlm_head:
@@ -130,12 +137,14 @@ def mix_tokens(x: Node, kind: MixingKind, tape: Tape | None) -> Node:
     """The parameter-free mixing sub-layer as a taped op over [L, H] activations."""
     out = Node(mix2d(x.value, kind))
     cot, xv = x.cot, (None if kind.is_linear else x.value)  # linear kinds' VJP never reads x
-    nn._record(tape, out, lambda g: cot.add(mix2d_vjp(kind, xv, g), owned=True))
+    nn._record(tape, out, lambda g: cot.add(mix2d_vjp(kind, xv, g)))
     return out
 
 
-def _layer_norm(state, prefix, x, eps, tape):
-    return nn.layer_norm(x, state[f"{prefix}.gamma"], state[f"{prefix}.beta"], eps, tape)
+def _add_norm(params, prefix, x: Node, y: Node, eps, tape: Tape | None) -> Node:
+    """The post-norm residual norm(x + y), with layer norm prefix's scale and shift."""
+    return nn.layer_norm(nn.add(x, y, tape), params[f"{prefix}.gamma"], params[f"{prefix}.beta"],
+                         eps, tape)
 
 
 # Rows a tape-free forward runs through the row-wise sub-layers at a time, so
@@ -146,14 +155,16 @@ def _layer_norm(state, prefix, x, eps, tape):
 ROW_BLOCK = 128
 
 
-def _row_sublayers(cfg, state, i, x: Node, mixed: Node, tape: Tape | None) -> Node:
-    """Block i after its mixing, u = norm(x + mixed) and norm(u + FF(u)); each row alone."""
-    eps = cfg.layer_norm_eps
-    u = _layer_norm(state, f"layer{i}.mixing_ln", nn.add(x, mixed, tape), eps, tape)
-    h = nn.linear(u, state[f"layer{i}.ff.w1"], state[f"layer{i}.ff.b1"], tape)
+def _row_sublayers(params, prefix, norm, x: Node, y: Node, eps, tape: Tape | None) -> Node:
+    """A block's tail after its token-mixing output y: u = norm(x + y), then ff_ln(u + FF(u)).
+
+    Each row is computed alone. Decoder layers run it after cross-attention.
+    """
+    u = _add_norm(params, f"{prefix}.{norm}", x, y, eps, tape)
+    h = nn.linear(u, params[f"{prefix}.ff.w1"], params[f"{prefix}.ff.b1"], tape)
     h = nn.gelu(h, tape)
-    h = nn.linear(h, state[f"layer{i}.ff.w2"], state[f"layer{i}.ff.b2"], tape)
-    return _layer_norm(state, f"layer{i}.ff_ln", nn.add(u, h, tape), eps, tape)
+    h = nn.linear(h, params[f"{prefix}.ff.w2"], params[f"{prefix}.ff.b2"], tape)
+    return _add_norm(params, f"{prefix}.ff_ln", u, h, eps, tape)
 
 
 def _row_blocked_layer(cfg, state, i, x: Node) -> Node:
@@ -162,8 +173,8 @@ def _row_blocked_layer(cfg, state, i, x: Node) -> Node:
     out = np.empty_like(x.value)
     for start in range(0, len(out), ROW_BLOCK):
         rows = slice(start, start + ROW_BLOCK)
-        out[rows] = _row_sublayers(cfg, state, i, Node(x.value[rows]), Node(mixed[rows]),
-                                   None).value
+        out[rows] = _row_sublayers(state, f"layer{i}", "mixing_ln", Node(x.value[rows]),
+                                   Node(mixed[rows]), cfg.layer_norm_eps, None).value
     return Node(out)
 
 
@@ -190,11 +201,12 @@ def encoder_forward(cfg, state, token_ids, type_ids=None, tape: Tape | None = No
     x = nn.add(nn.embedding_lookup(token_ids, state["embeddings.word"], tape),
                nn.embedding_lookup(np.arange(L), state["embeddings.position"], tape), tape)
     x = nn.add(x, nn.embedding_lookup(type_ids, state["embeddings.token_type"], tape), tape)
-    x = _layer_norm(state, "embeddings.ln", x, eps, tape)
+    x = nn.layer_norm(x, state["embeddings.ln.gamma"], state["embeddings.ln.beta"], eps, tape)
 
     for i in range(cfg.n_layers):
         if tape is not None:
-            x = _row_sublayers(cfg, state, i, x, mix_tokens(x, cfg.mixing, tape), tape)
+            x = _row_sublayers(state, f"layer{i}", "mixing_ln", x,
+                               mix_tokens(x, cfg.mixing, tape), eps, tape)
         else:
             x = _row_blocked_layer(cfg, state, i, x)
     return x
@@ -206,7 +218,7 @@ def mlm_logits(cfg, state, hidden: Node, tape: Tape | None = None) -> Node:
         raise CheckpointError("state was built without the masked-prediction head")
     h = nn.linear(hidden, state["mlm.dense.w"], state["mlm.dense.b"], tape)
     h = nn.gelu(h, tape)
-    h = _layer_norm(state, "mlm.ln", h, cfg.layer_norm_eps, tape)
+    h = nn.layer_norm(h, state["mlm.ln.gamma"], state["mlm.ln.beta"], cfg.layer_norm_eps, tape)
     return nn.tied_logits(h, state["embeddings.word"], state["mlm.bias"], tape)
 
 

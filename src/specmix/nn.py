@@ -10,7 +10,10 @@ cotangent, is freed as soon as it has run, so a training step peaks near its
 forward pass instead of holding every activation until the tape is dropped.
 Ops called with ``tape=None`` run forward only, which is the inference path.
 A closure holds its inputs' cotangents (a node's :class:`Cotangent`, apart
-from its value) and only the arrays its VJP reads, never a Node. Taped
+from its value) and only the arrays its VJP reads, never a Node. The
+first cotangent a node receives becomes its buffer, uncopied, so each
+closure hands over an array nothing else holds: ``add`` copies its output
+cotangent once per input, and ``Tape.backward`` seeds a fresh array. Taped
 attention keeps no softmax weights: its backward recomputes each head's from
 the saved queries and keys with the forward's own code, bit for bit.
 
@@ -70,12 +73,14 @@ class Cotangent:
     def __init__(self):
         self.grad = None
 
-    def add(self, g, owned: bool = False) -> None:
-        """Accumulate g; owned hands over a fresh float64 array that nothing else reads."""
+    def add(self, g) -> None:
+        """Accumulate g, keeping the first g itself as the buffer later ones add into.
+
+        So g must be a writable float64 array that nothing else holds: a
+        backward that hands one array to more than one holder copies it first.
+        """
         if self.grad is None:
-            # unless owned, a copy: later cotangents add in place, and g may be a
-            # read-only view or shared with another node (add hands one g to both)
-            self.grad = g if owned else np.array(g, dtype=np.float64)
+            self.grad = g
         else:
             self.grad += g
 
@@ -96,9 +101,6 @@ class Node:
     @grad.setter
     def grad(self, g) -> None:
         self.cot.grad = g
-
-    def add_grad(self, g) -> None:
-        self.cot.add(g)
 
 
 class Parameter(Node):
@@ -177,7 +179,7 @@ class Tape:
         if steps is None:
             raise RuntimeError("Tape.backward already ran on this tape; record a new tape")
         self._steps = None
-        output.add_grad(np.broadcast_to(np.asarray(seed, dtype=np.float64), output.value.shape))
+        output.cot.add(np.full(output.value.shape, seed, dtype=np.float64))
         while steps:
             steps.pop()()
 
@@ -200,9 +202,9 @@ def add(a: Node, b: Node, tape: Tape | None) -> Node:
     out = Node(a.value + b.value)
     a_cot, b_cot = a.cot, b.cot
 
-    def backward(g):
-        a_cot.add(g)
-        b_cot.add(g)
+    def backward(g):  # each input gets its own copy: out's cotangent holds g
+        a_cot.add(g.copy())
+        b_cot.add(g.copy())
     _record(tape, out, backward)
     return out
 
@@ -228,7 +230,7 @@ def linear(x: Node, w: Node, b: Node, tape: Tape | None) -> Node:
         gflat = g.reshape(-1, g.shape[-1])
         w_cot.add(lead.T @ gflat)
         b_cot.add(gflat.sum(axis=0))
-        x_cot.add((g @ wv.T).reshape(xv.shape), owned=True)
+        x_cot.add((g @ wv.T).reshape(xv.shape))
     _record(tape, out, backward)
     return out
 
@@ -261,7 +263,7 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float, tape: Tape | None) 
         d -= d.sum(axis=-1, keepdims=True) / n
         d -= np.multiply(xhat, dproj, out=xhat)
         d *= inv_std
-        x_cot.add(d, owned=True)
+        x_cot.add(d)
     _record(tape, out, backward)
     return out
 
@@ -287,7 +289,7 @@ def gelu(x: Node, tape: Tape | None) -> Node:
     x_cot = x.cot
 
     def backward(g):
-        x_cot.add(np.multiply(d, g, out=d), owned=True)  # in place: backward runs once
+        x_cot.add(np.multiply(d, g, out=d))  # in place: backward runs once
     _record(tape, out, backward)
     return out
 
@@ -344,7 +346,7 @@ def tied_logits(x: Node, emb: Node, bias: Node, tape: Tape | None) -> Node:
     def backward(g):
         emb_cot.add(g.T @ xv)
         bias_cot.add(g.sum(axis=0))
-        x_cot.add(g @ ev, owned=True)
+        x_cot.add(g @ ev)
     _record(tape, out, backward)
     return out
 
@@ -379,7 +381,7 @@ def masked_cross_entropy(logits: Node, labels, tape: Tape | None) -> Node:
         d[rows, flat_labels[rows]] -= 1.0
         d[~flat_active] = 0.0
         d *= float(g) / n_active
-        logits_cot.add(d.reshape(shape), owned=True)
+        logits_cot.add(d.reshape(shape))
     _record(tape, out, backward)
     return out
 
@@ -457,8 +459,8 @@ def multi_head_attention(q: Node, k: Node, v: Node, n_heads: int, tape: Tape | N
             da *= scale
             dq[:, h, :] = da @ kh[:, h, :]
             dk[:, h, :] = da.T @ qh[:, h, :]
-        q_cot.add(dq.reshape(l_q, d), owned=True)
-        k_cot.add(dk.reshape(l_k, d), owned=True)
-        v_cot.add(dv.reshape(l_k, d), owned=True)
+        q_cot.add(dq.reshape(l_q, d))
+        k_cot.add(dk.reshape(l_k, d))
+        v_cot.add(dv.reshape(l_k, d))
     _record(tape, out, backward)
     return out

@@ -24,6 +24,9 @@ from . import nn
 from .encoder import (
     EncoderConfig,
     EncoderState,
+    _add_norm,
+    _row_sublayers,
+    _tail_shapes,
     encoder_forward,
     init_encoder_state,
     state_from_arrays,
@@ -95,14 +98,7 @@ def decoder_param_shapes(cfg: DecoderConfig) -> dict:
                 shapes[f"decoder.layer{i}.{attn}.{w}"] = shape
         shapes[f"decoder.layer{i}.self_ln.gamma"] = (d,)
         shapes[f"decoder.layer{i}.self_ln.beta"] = (d,)
-        shapes[f"decoder.layer{i}.cross_ln.gamma"] = (d,)
-        shapes[f"decoder.layer{i}.cross_ln.beta"] = (d,)
-        shapes[f"decoder.layer{i}.ff.w1"] = (d, ff)
-        shapes[f"decoder.layer{i}.ff.b1"] = (ff,)
-        shapes[f"decoder.layer{i}.ff.w2"] = (ff, d)
-        shapes[f"decoder.layer{i}.ff.b2"] = (d,)
-        shapes[f"decoder.layer{i}.ff_ln.gamma"] = (d,)
-        shapes[f"decoder.layer{i}.ff_ln.beta"] = (d,)
+        shapes.update(_tail_shapes(f"decoder.layer{i}", "cross_ln", d, ff))
     shapes["decoder.output_bias"] = (cfg.vocab_size,)
     return shapes
 
@@ -166,25 +162,20 @@ def _decoder_stack(cfg: DecoderConfig, decoder: dict, ids, positions, attend_sel
 
     Embeddings of ids at positions, then per layer self-attention, cross-
     attention and feed-forward, each added to its input and normalized, then
-    the tied output projection. attend_self(i, x) and attend_cross(i, u)
-    return layer i's attention outputs, so the caller decides where keys and
-    values come from.
+    the tied output projection. Cross-attention and feed-forward are the
+    encoder block's row-wise tail, with cross-attention as its mixing
+    sub-layer. attend_self(i, x) and attend_cross(i, u) return layer i's
+    attention outputs, so the caller decides where keys and values come from.
     """
-    def ln(prefix, x):
-        return nn.layer_norm(x, decoder[f"{prefix}.gamma"], decoder[f"{prefix}.beta"],
-                             cfg.layer_norm_eps, tape)
-
+    eps = cfg.layer_norm_eps
     word = nn.embedding_lookup(ids, decoder["decoder.embeddings.word"], tape)
     pos = nn.embedding_lookup(positions, decoder["decoder.embeddings.position"], tape)
-    x = ln("decoder.embeddings.ln", nn.add(word, pos, tape))
+    x = _add_norm(decoder, "decoder.embeddings.ln", word, pos, eps, tape)
 
     for i in range(cfg.n_layers):
-        u = ln(f"decoder.layer{i}.self_ln", nn.add(x, attend_self(i, x), tape))
-        w = ln(f"decoder.layer{i}.cross_ln", nn.add(u, attend_cross(i, u), tape))
-        h = nn.linear(w, decoder[f"decoder.layer{i}.ff.w1"], decoder[f"decoder.layer{i}.ff.b1"], tape)
-        h = nn.gelu(h, tape)
-        h = nn.linear(h, decoder[f"decoder.layer{i}.ff.w2"], decoder[f"decoder.layer{i}.ff.b2"], tape)
-        x = ln(f"decoder.layer{i}.ff_ln", nn.add(w, h, tape))
+        prefix = f"decoder.layer{i}"
+        u = _add_norm(decoder, f"{prefix}.self_ln", x, attend_self(i, x), eps, tape)
+        x = _row_sublayers(decoder, prefix, "cross_ln", u, attend_cross(i, u), eps, tape)
 
     return nn.tied_logits(x, decoder["decoder.embeddings.word"], decoder["decoder.output_bias"], tape)
 

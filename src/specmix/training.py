@@ -46,27 +46,17 @@ class ByteTokenizer:
         return self.decode_bytes(ids).decode("utf-8", errors="replace")
 
 
-@dataclass
-class PackedDataset:
-    """Fixed-length training slices, shape [n_slices, max_seq_len]."""
+def pack_corpus(docs, max_seq_len: int) -> np.ndarray:
+    """All docs concatenated in order, cut into int64 slices [n_slices, max_seq_len].
 
-    slices: np.ndarray
-
-    def __len__(self) -> int:
-        return self.slices.shape[0]
-
-    def __getitem__(self, i) -> np.ndarray:
-        return self.slices[i]
-
-
-def pack_corpus(docs, max_seq_len: int) -> PackedDataset:
-    """Concatenate all docs in order, cut full slices, drop the partial tail."""
+    The partial tail is dropped.
+    """
     if max_seq_len < 2:
         raise ConfigError("max_seq_len must be >= 2")
     arrays = [np.asarray(d, dtype=np.int64) for d in docs]
     stream = np.concatenate(arrays) if arrays else np.zeros(0, dtype=np.int64)
     n = stream.shape[0] // max_seq_len
-    return PackedDataset(stream[: n * max_seq_len].reshape(n, max_seq_len).copy())
+    return stream[: n * max_seq_len].reshape(n, max_seq_len).copy()
 
 
 @dataclass(frozen=True)
@@ -259,7 +249,7 @@ def _train(named_params, n_examples: int, example_loss, batch_at, steps: int, se
     return trace
 
 
-def train_mlm(cfg, state, dataset: PackedDataset, schedule: BatchSchedule, steps: int,
+def train_mlm(cfg, state, dataset: np.ndarray, schedule: BatchSchedule, steps: int,
               seed: int, optimizer: AdamW | None = None,
               policy: MaskingPolicy | None = None) -> list:
     """Masked-token pretraining loop; returns one TraceRow per optimizer step.

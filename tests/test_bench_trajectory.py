@@ -1,6 +1,7 @@
 """The BENCH_<n>.json writer's numbering and summary, without running the benchmark."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -65,3 +66,24 @@ def test_hybrid_decoder_is_the_default_decoder_config(trajectory):
 
     widths = {name: trajectory.BASE_MODEL[name] for name in ("d_model", "d_ff", "vocab_size")}
     assert DecoderConfig(**widths, **trajectory.HYBRID_DECODER) == DecoderConfig()
+
+
+def test_only_measured_files_count_as_uncommitted(trajectory, tmp_path):
+    assert trajectory.commit_of(tmp_path) == {"head": None, "uncommitted_changes": None}
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=bench", "-c",
+                        "user.email=bench@example.com", "-c", "commit.gpgsign=false", *args],
+                       check=True, capture_output=True)
+
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "model.py").write_text("x = 1\n")
+    (tmp_path / "README.md").write_text("readme\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "initial")
+    assert trajectory.commit_of(tmp_path)["uncommitted_changes"] is False
+    (tmp_path / "README.md").write_text("edited readme\n")
+    assert trajectory.commit_of(tmp_path)["uncommitted_changes"] is False
+    (tmp_path / "src" / "model.py").write_text("x = 2\n")
+    assert trajectory.commit_of(tmp_path)["uncommitted_changes"] is True

@@ -45,12 +45,17 @@ class TestTapeAndNodes:
         assert np.array_equal(seed, [5.0, 7.0])
 
     def test_owned_cotangent_is_handed_over_and_others_copied(self):
-        cot, fresh, shared = nn.Cotangent(), np.array([1.0, 2.0]), np.array([3.0, 4.0])
-        cot.add(fresh, owned=True)
+        # add keeps the first g it is given; nn.add, which hands its output's
+        # cotangent to two inputs, gives each its own copy.
+        cot, fresh = nn.Cotangent(), np.array([1.0, 2.0])
+        cot.add(fresh)
         assert cot.grad is fresh
-        other = nn.Cotangent()
-        other.add(shared)
-        assert other.grad is not shared and np.array_equal(other.grad, shared)
+        a, b = Node([1.0, 2.0]), Node([3.0, 4.0])
+        tape = Tape()
+        out = nn.add(a, b, tape)
+        tape.backward(out)
+        for x, y in ((a.grad, b.grad), (a.grad, out.grad), (b.grad, out.grad)):
+            assert not np.shares_memory(x, y)
 
     def test_add_shape_mismatch(self):
         with pytest.raises(ShapeError):

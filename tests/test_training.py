@@ -72,13 +72,13 @@ class TestPackCorpus:
         docs = [np.arange(10) + 5, np.arange(7) + 5, np.arange(5) + 5]
         ds = pack_corpus(docs, 8)
         assert len(ds) == 2
-        assert ds.slices.shape == (2, 8)
+        assert ds.shape == (2, 8)
 
     def test_stream_is_concatenation_prefix(self):
         docs = [np.arange(10) + 5, np.arange(7) + 5, np.arange(5) + 5]
         stream = np.concatenate(docs)
         ds = pack_corpus(docs, 8)
-        assert np.array_equal(ds.slices.reshape(-1), stream[:16])
+        assert np.array_equal(ds.reshape(-1), stream[:16])
 
     def test_exact_fit(self):
         ds = pack_corpus([np.arange(8) + 5], 8)
