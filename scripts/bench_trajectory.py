@@ -24,6 +24,13 @@ widths are BASE_MODEL's) on HYBRID_LENGTHS source and target tokens. Each
 peak pair (the forward pass's and the whole step's) is measured in a fresh
 process that imports the measured checkout's sources.
 
+The ``decoding`` block holds ``generate``'s median wall ms per generated
+token at each beam width in DECODE_BEAMS and target length in
+DECODE_LENGTHS, for a Hartley hybrid model with DECODE_ENCODER's widths and
+DECODE_DECODER's layers on a DECODE_SOURCE-token source. EOS is unreachable
+and no n-gram is banned, so each call decodes the whole target length. Each
+beam and length runs in its own fresh process, as the memory probes do.
+
 Files are numbered in order in this repository's root: the first is
 BENCH_0.json, and each later one names the file before it as its parent.
 """
@@ -50,6 +57,12 @@ BASE_LAYERS = (1, 2)
 BASE_LENGTHS = (1024, 2048)
 HYBRID_DECODER = {"n_layers": 6, "n_heads": 12}
 HYBRID_LENGTHS = (4096, 256)
+DECODE_ENCODER = {"n_layers": 1, "d_model": 256, "d_ff": 1024, "vocab_size": 261}  # byte vocab
+DECODE_DECODER = {"n_layers": 4, "n_heads": 4}
+DECODE_SOURCE = 255
+DECODE_BEAMS = (1, 4)
+DECODE_LENGTHS = (64, 512)
+DECODE_REPEATS = 3
 
 
 def run_workload(checkout: Path, command: list, workload: str, seed: int,
@@ -133,36 +146,80 @@ def seq2seq_step_peaks(model: dict, decoder: dict, src_len: int, tgt_len: int) -
     return _step_peaks(lambda tape: sm.seq2seq_loss(state, source, target, tape))
 
 
-def training_memory(checkout: Path) -> dict:
-    """The step peaks of MEMORY_MODEL, BASE_MODEL and the hybrid model, each in a fresh process."""
+def decode_ms_per_token(encoder: dict, decoder: dict, src_len: int, beam: int,
+                        tgt_len: int) -> float:
+    """Median wall ms per generated token of DECODE_REPEATS generate calls of a Hartley hybrid model.
+
+    encoder and decoder are as for seq2seq_step_peaks. EOS lies outside the
+    vocabulary and no n-gram is banned, so every call decodes exactly tgt_len
+    tokens. One untimed short call first sets up the source's transforms.
+    Imports specmix as mlm_step_peaks does.
+    """
+    import time
+
+    import specmix as sm
+
+    enc = sm.EncoderConfig(**encoder, max_positions=src_len, mixing=sm.MixingKind.HARTLEY)
+    dec = sm.DecoderConfig(d_model=enc.d_model, d_ff=enc.d_ff, vocab_size=enc.vocab_size,
+                           max_positions=tgt_len + 1, **decoder)
+    state = sm.init_seq2seq_state(enc, dec, sm.SplitRng(SEEDS[0]))
+    source = sm.SplitRng(SEEDS[0]).split(1).integers(sm.ByteTokenizer.n_specials,
+                                                     enc.vocab_size, size=src_len)
+    gen = sm.GenerationConfig(max_input_len=src_len, max_target_len=tgt_len,
+                              no_repeat_ngram=0, beam_size=beam, eos_id=enc.vocab_size)
+    sm.generate(state, source, sm.GenerationConfig(max_target_len=1, beam_size=beam))
+    times = []
+    for _ in range(DECODE_REPEATS):
+        start = time.perf_counter()
+        ids = sm.generate(state, source, gen)
+        assert len(ids) == tgt_len, (len(ids), tgt_len)
+        times.append((time.perf_counter() - start) * 1e3 / tgt_len)
+    return statistics.median(times)
+
+
+def _probe(checkout: Path, fn: str, *args):
+    """This module's fn(*args), run in a fresh single-BLAS-thread process on checkout's sources."""
     probe = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import bench_trajectory as b; "
              "print(json.dumps(getattr(b, sys.argv[3])(*json.loads(sys.argv[4]))))")
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(checkout / "src"), str(Path(__file__).parent),
+         fn, json.dumps(args)],
+        cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    print(f"{fn}{args}: {out.stdout.strip()}", file=sys.stderr)
+    return json.loads(out.stdout)
 
-    def peaks(fn, *args):
-        out = subprocess.run(
-            [sys.executable, "-c", probe, str(checkout / "src"), str(Path(__file__).parent),
-             fn, json.dumps(args)],
-            cwd=checkout, env=env, capture_output=True, text=True, check=True)
-        print(f"training_memory {fn}{args}: {out.stdout.strip()}", file=sys.stderr)
-        return json.loads(out.stdout)
 
+def training_memory(checkout: Path) -> dict:
+    """The step peaks of MEMORY_MODEL, BASE_MODEL and the hybrid model, each in a fresh process."""
     hybrid = {**BASE_MODEL, "n_layers": 1}
     src_len, tgt_len = HYBRID_LENGTHS
     return {"model": {**MEMORY_MODEL, "mixing": "hartley", "vocab": "byte tokenizer"},
             "unit": "MiB", "tool": "tracemalloc",
-            "lengths": {str(n): peaks("mlm_step_peaks", MEMORY_MODEL, n)
+            "lengths": {str(n): _probe(checkout, "mlm_step_peaks", MEMORY_MODEL, n)
                         for n in MEMORY_LENGTHS},
             "base_width": {
                 "model": {**BASE_MODEL, "mixing": "hartley"},
-                "layers": {str(depth): {str(n): peaks("mlm_step_peaks",
-                                                      {**BASE_MODEL, "n_layers": depth}, n)
+                "layers": {str(depth): {str(n): _probe(checkout, "mlm_step_peaks",
+                                                       {**BASE_MODEL, "n_layers": depth}, n)
                                         for n in BASE_LENGTHS}
                            for depth in BASE_LAYERS}},
             "seq2seq": {
                 "encoder": {**hybrid, "mixing": "hartley"}, "decoder": HYBRID_DECODER,
                 "source_length": src_len, "target_length": tgt_len,
-                **peaks("seq2seq_step_peaks", hybrid, HYBRID_DECODER, src_len, tgt_len)}}
+                **_probe(checkout, "seq2seq_step_peaks", hybrid, HYBRID_DECODER, src_len,
+                         tgt_len)}}
+
+
+def decoding(checkout: Path) -> dict:
+    """generate's ms per token at each beam in DECODE_BEAMS and length in DECODE_LENGTHS."""
+    return {"encoder": {**DECODE_ENCODER, "mixing": "hartley"}, "decoder": DECODE_DECODER,
+            "source_length": DECODE_SOURCE, "eos": "unreachable", "no_repeat_ngram": 0,
+            "repeats": DECODE_REPEATS, "unit": "ms/token", "statistic": "median",
+            "beams": {str(beam): {str(n): _probe(checkout, "decode_ms_per_token", DECODE_ENCODER,
+                                                 DECODE_DECODER, DECODE_SOURCE, beam, n)
+                                  for n in DECODE_LENGTHS}
+                      for beam in DECODE_BEAMS}}
 
 
 def next_file() -> tuple:
@@ -224,7 +281,7 @@ def main(argv=None) -> int:
     record = {"file": path.name, "parent": parent, "commit": commit_of(checkout),
               "seeds": list(SEEDS), "run_seconds": spec["run_seconds"],
               "provenance": provenance, "workloads": workloads,
-              "training_memory": training_memory(checkout)}
+              "training_memory": training_memory(checkout), "decoding": decoding(checkout)}
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path}")
     return 0

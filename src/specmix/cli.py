@@ -368,7 +368,7 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ConfigError, CheckpointError, ShapeError, TrainingError,
-            FloatingPointError, ValueError, OSError) as exc:
+            FloatingPointError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -158,8 +158,17 @@ ROW_BLOCK = 128
 def _row_sublayers(params, prefix, norm, x: Node, y: Node, eps, tape: Tape | None) -> Node:
     """A block's tail after its token-mixing output y: u = norm(x + y), then ff_ln(u + FF(u)).
 
-    Each row is computed alone. Decoder layers run it after cross-attention.
+    Each row is computed alone, so without a tape it runs ROW_BLOCK rows at a
+    time into one output; a tape keeps every activation anyway, so with one it
+    runs over all rows at once. Decoder layers run it after cross-attention.
     """
+    if tape is None and len(x.value) > ROW_BLOCK:
+        out = np.empty_like(x.value)
+        for start in range(0, len(out), ROW_BLOCK):
+            rows = slice(start, start + ROW_BLOCK)
+            out[rows] = _row_sublayers(params, prefix, norm, Node(x.value[rows]),
+                                       Node(y.value[rows]), eps, None).value
+        return Node(out)
     u = _add_norm(params, f"{prefix}.{norm}", x, y, eps, tape)
     h = nn.linear(u, params[f"{prefix}.ff.w1"], params[f"{prefix}.ff.b1"], tape)
     h = nn.gelu(h, tape)
@@ -167,25 +176,13 @@ def _row_sublayers(params, prefix, norm, x: Node, y: Node, eps, tape: Tape | Non
     return _add_norm(params, f"{prefix}.ff_ln", u, h, eps, tape)
 
 
-def _row_blocked_layer(cfg, state, i, x: Node) -> Node:
-    """Block i without a tape: mixing over all rows, the rest ROW_BLOCK rows at a time."""
-    mixed = mix_tokens(x, cfg.mixing, None).value
-    out = np.empty_like(x.value)
-    for start in range(0, len(out), ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        out[rows] = _row_sublayers(state, f"layer{i}", "mixing_ln", Node(x.value[rows]),
-                                   Node(mixed[rows]), cfg.layer_norm_eps, None).value
-    return Node(out)
-
-
 def encoder_forward(cfg, state, token_ids, type_ids=None, tape: Tape | None = None) -> Node:
     """Hidden states [L, d_model] for one sequence of token ids.
 
     Embedding sum (word + position + token type) is normalized, then each
     block computes u = norm(x + mix(x)) and x' = norm(u + FF(u)). Only the
-    mixing step reads across rows. Without a tape the rest runs ROW_BLOCK
-    rows at a time into one output; a tape keeps every activation anyway, so
-    with one it runs over all rows at once.
+    mixing step reads across rows; the rest is _row_sublayers, which bounds
+    its own tape-free memory.
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
     if token_ids.ndim != 1:
@@ -204,11 +201,8 @@ def encoder_forward(cfg, state, token_ids, type_ids=None, tape: Tape | None = No
     x = nn.layer_norm(x, state["embeddings.ln.gamma"], state["embeddings.ln.beta"], eps, tape)
 
     for i in range(cfg.n_layers):
-        if tape is not None:
-            x = _row_sublayers(state, f"layer{i}", "mixing_ln", x,
-                               mix_tokens(x, cfg.mixing, tape), eps, tape)
-        else:
-            x = _row_blocked_layer(cfg, state, i, x)
+        x = _row_sublayers(state, f"layer{i}", "mixing_ln", x, mix_tokens(x, cfg.mixing, tape),
+                           eps, tape)
     return x
 
 

@@ -9,8 +9,9 @@ Generation is length-normalized beam search (beam 1 is greedy) with an
 optional no-repeat n-gram constraint: a candidate token whose selection would
 complete an n-gram already present in its hypothesis is banned before
 selection. Decoding is incremental: cross-attention keys and values are
-projected once per source, each hypothesis keeps its self-attention keys and
-values, and one decoder step advances every live hypothesis at once.
+projected once per source, one preallocated cache holds every hypothesis's
+self-attention keys and values and is written in place, and one decoder step
+advances every live hypothesis at once.
 ``decoder_forward`` runs the whole target at once, for teacher-forced training.
 """
 
@@ -213,7 +214,7 @@ def seq2seq_loss(state: Seq2SeqState, source_ids, target_ids, tape: Tape | None 
     target_ids = np.asarray(target_ids, dtype=np.int64)
     if target_ids.size == 0:
         raise ShapeError("seq2seq_loss: empty target")
-    decoder_input = np.concatenate(([BOS_ID], target_ids[:-1]))
+    decoder_input = np.insert(target_ids[:-1], 0, BOS_ID)
     labels = np.where(target_ids == PAD_ID, nn.IGNORE_LABEL, target_ids)
     hidden = encoder_forward(state.encoder_cfg, state.encoder, source_ids, tape=tape)
     logits = decoder_forward(state.decoder_cfg, state.decoder, decoder_input, hidden, tape)
@@ -242,29 +243,27 @@ def _banned_tokens(seen: dict, tokens: list, n: int) -> frozenset:
     return seen.get(tuple(tokens[len(tokens) - (n - 1):]), frozenset())
 
 
-def _decoder_step(cfg: DecoderConfig, decoder: dict, tokens, cross_kv: list,
-                  self_kv: list):
-    """Logits [B, V] at the next position of B hypotheses, in one decoder pass.
+def _decoder_step(cfg: DecoderConfig, decoder: dict, tokens, t: int, cross_kv: list,
+                  cache: np.ndarray) -> np.ndarray:
+    """Logits [B, V] at position t of B hypotheses, in one decoder pass.
 
     tokens [B] holds each hypothesis's newest token. Layer i attends over the
     encoder's projected keys and values cross_kv[i], two Nodes of shape
-    [L_src, d_model] that every hypothesis shares, and over its own position
-    plus self_kv[i], two arrays of shape [B, t, d_model] that hold each
-    hypothesis's projected keys and values at the t positions before it.
-    Row b equals the last row of decoder_forward on hypothesis b's whole
-    prefix, up to rounding. Returns the logits and self_kv extended by this
-    position, [B, t + 1, d_model] each.
+    [L_src, d_model] that every hypothesis shares, and over its own keys and
+    values cache[i, :, :B, :t + 1]. cache is [n_layers, 2, beam, max_len,
+    d_model] and already holds positions before t; this step writes position
+    t into it. Row b equals the last row of decoder_forward on hypothesis b's
+    whole prefix, up to rounding.
     """
-    n, t = len(tokens), self_kv[0][0].shape[1]
-    extended = []
+    n = len(tokens)
 
     def attend_self(i, x):
         prefix = f"decoder.layer{i}.self_attn"
-        k, v = (np.concatenate((cached, _proj(decoder, prefix, w, x, None).value[:, None]), axis=1)
-                for cached, w in zip(self_kv[i], "kv"))
-        extended.append((k, v))
+        for kv, w in zip(cache[i], "kv"):
+            kv[:n, t] = _proj(decoder, prefix, w, x, None).value
+        k, v = (Node(kv[:n, :t + 1]) for kv in cache[i])
         q = _proj(decoder, prefix, "q", x, None)
-        ctx = nn.multi_head_attention(q, Node(k), Node(v), cfg.n_heads, None)
+        ctx = nn.multi_head_attention(q, k, v, cfg.n_heads, None)
         return _proj(decoder, prefix, "o", ctx, None)
 
     def attend_cross(i, u):
@@ -273,8 +272,8 @@ def _decoder_step(cfg: DecoderConfig, decoder: dict, tokens, cross_kv: list,
                                       cfg.n_heads, None)
         return _proj(decoder, prefix, "o", ctx, None)
 
-    logits = _decoder_stack(cfg, decoder, tokens, np.full(n, t), attend_self, attend_cross, None)
-    return logits.value, extended
+    return _decoder_stack(cfg, decoder, tokens, np.full(n, t), attend_self, attend_cross,
+                          None).value
 
 
 def generate(state: Seq2SeqState, source_ids, gen: GenerationConfig) -> list:
@@ -282,11 +281,11 @@ def generate(state: Seq2SeqState, source_ids, gen: GenerationConfig) -> list:
 
     Decoding is incremental. The source is encoded once and each layer's
     cross-attention keys and values are projected once, [L_src, d_model]
-    each. Every live hypothesis keeps its self-attention keys and values, a
-    [B, t, d_model] pair per layer for B live hypotheses after t steps, and
-    each step runs all of them through the decoder as one [B, d_model] batch
-    that extends those caches by one position; beam selection reorders the
-    caches to the kept hypotheses unless they kept their places.
+    each. One preallocated cache [n_layers, 2, beam_size, max_len, d_model]
+    holds the live hypotheses' self-attention keys and values, row b for
+    hypothesis b. Each step runs all B of them through the decoder as one
+    [B, d_model] batch that writes its position into the cache in place, and
+    beam selection gathers the kept rows to the front unless they kept their places.
 
     Hypotheses are ranked by mean log-probability per generated token; ties
     break toward the lower token id, then the earlier hypothesis. The n-gram
@@ -299,15 +298,15 @@ def generate(state: Seq2SeqState, source_ids, gen: GenerationConfig) -> list:
     cross_kv = [tuple(_proj(decoder, f"decoder.layer{i}.cross_attn", w, hidden, None)
                       for w in "kv")
                 for i in range(cfg.n_layers)]
-    self_kv = [(np.empty((1, 0, cfg.d_model)),) * 2] * cfg.n_layers
     # bos occupies one decoder position, so content length is capped below it.
     max_len = min(gen.max_target_len, cfg.max_positions - 1)
+    cache = np.empty((cfg.n_layers, 2, gen.beam_size, max_len, cfg.d_model))
     n = gen.no_repeat_ngram
 
     live = [([gen.bos_id], 0.0, _record_ngram({}, [gen.bos_id], n))]
     finished = []
-    for _ in range(max_len):
-        logits, self_kv = _decoder_step(cfg, decoder, [h[0][-1] for h in live], cross_kv, self_kv)
+    for t in range(max_len):
+        logits = _decoder_step(cfg, decoder, [h[0][-1] for h in live], t, cross_kv, cache)
         logp = nn.log_softmax_rows(logits)
         candidates = []
         for hyp_idx, (tokens, total, seen) in enumerate(live):
@@ -339,8 +338,8 @@ def generate(state: Seq2SeqState, source_ids, gen: GenerationConfig) -> list:
         live = next_live
         if not live or len(finished) >= gen.beam_size:
             break
-        if keep != list(range(len(self_kv[0][0]))):  # beam 1 always keeps its row in place
-            self_kv = [(k[keep], v[keep]) for k, v in self_kv]
+        if keep != list(range(len(keep))):
+            cache[:, :, :len(keep), :t + 1] = cache[:, :, keep, :t + 1]
 
     if finished:
         finished.sort(key=lambda c: -c[0])

@@ -54,6 +54,21 @@ def test_training_memory_measures_each_length_in_a_fresh_process(trajectory, mon
         assert 0 < peaks["forward_peak_mib"] <= peaks["step_peak_mib"]
 
 
+def test_decoding_times_each_beam_and_length_in_a_fresh_process(trajectory, monkeypatch):
+    monkeypatch.setattr(trajectory, "DECODE_ENCODER",
+                        {"n_layers": 1, "d_model": 8, "d_ff": 16, "vocab_size": 40})
+    monkeypatch.setattr(trajectory, "DECODE_DECODER", {"n_layers": 1, "n_heads": 2})
+    monkeypatch.setattr(trajectory, "DECODE_SOURCE", 12)
+    monkeypatch.setattr(trajectory, "DECODE_LENGTHS", (3, 5))
+    got = trajectory.decoding(trajectory.ROOT)
+    assert got["unit"] == "ms/token" and got["source_length"] == 12
+    assert got["encoder"]["d_model"] == 8 and got["decoder"]["n_layers"] == 1
+    assert sorted(got["beams"]) == ["1", "4"]
+    for beam in got["beams"].values():
+        assert sorted(beam) == ["3", "5"]
+        assert all(ms > 0 for ms in beam.values())
+
+
 def test_base_model_has_the_base_config_widths(trajectory):
     from specmix.encoder import base_encoder_config
 

@@ -272,6 +272,20 @@ def test_mistyped_config_integer_is_one_error_line(key, value, names, tmp_path, 
     assert not (tmp_path / "out.spmx").exists()
 
 
+def test_unallocatable_model_is_one_error_line(tmp_path, capsys):
+    """A 10**13-row position table is 1.14 PiB, past the address space: it fails at once."""
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, [{"text": "abc abc abc"}])
+    config = write_config(tmp_path / "cfg.json", steps=1, seed=0,
+                          encoder={**ENCODER_DICT, "max_positions": 10**13},
+                          paths={"corpus": str(corpus),
+                                 "checkpoint_out": str(tmp_path / "out.spmx")})
+    assert main(["train-mlm", "--config", str(config)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "allocate" in lines[0]
+    assert not (tmp_path / "out.spmx").exists()
+
+
 @pytest.mark.parametrize("command", ["train-mlm", "resume"])
 def test_pretraining_rejects_patience(command, workdir, tmp_path, capsys):
     """Pretraining never stops early, so training.patience is an error, not a no-op."""

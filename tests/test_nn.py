@@ -530,6 +530,21 @@ class TestMultiHeadAttention:
                                              causal)
             assert np.abs(batched.value[own] - single.value).max() <= 1e-12
 
+    @pytest.mark.parametrize("n_groups, t", [(1, 1), (3, 7), (4, 33)])
+    def test_key_views_of_a_larger_buffer_match_contiguous_keys(self, n_groups, t):
+        # generate's cache form: keys and values [B, t, d] are strided views of
+        # one [2, beam, max_len, d] buffer, and must give the contiguous bits.
+        rng = np.random.default_rng(29)
+        d = 8
+        qv = rng.normal(size=(n_groups, d))
+        cache = rng.normal(size=(2, n_groups + 2, t + 5, d))
+        kv, vv = cache[:, :n_groups, :t]
+        assert not kv.flags.c_contiguous or n_groups == 1
+        viewed = nn.multi_head_attention(Node(qv), Node(kv), Node(vv), 2, None)
+        copied = nn.multi_head_attention(Node(qv), Node(np.ascontiguousarray(kv)),
+                                         Node(np.ascontiguousarray(vv)), 2, None)
+        assert np.array_equal(viewed.value, copied.value)
+
     def test_deterministic(self):
         rng = np.random.default_rng(6)
         d = 8

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fdcheck import check_grad
-from specmix import nn, seq2seq
-from specmix.encoder import EncoderConfig, encoder_forward, init_encoder_state
+from specmix import encoder, nn, seq2seq
+from specmix.encoder import ROW_BLOCK, EncoderConfig, encoder_forward, init_encoder_state
 from specmix.errors import CheckpointError, ConfigError, ShapeError
 from specmix.nn import Node, Tape
 from specmix.rng import SplitRng
@@ -198,6 +198,37 @@ class TestDecoderForward:
         a = decoder_forward(DEC, state.decoder, [2, 5, 6], Node(rng.normal(size=(3, 4))))
         b = decoder_forward(DEC, state.decoder, [2, 5, 6], Node(rng.normal(size=(3, 4))))
         assert not np.array_equal(a.value, b.value)
+
+
+class TestRowBlockedDecoderForward:
+    """Without a tape the decoder's feed-forward tails run ROW_BLOCK rows at a time, as the encoder's do."""
+
+    LENGTHS = [1, ROW_BLOCK - 1, ROW_BLOCK, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_matches_the_taped_forward_one_block_at_a_time(self, length, monkeypatch):
+        cfg = DecoderConfig(n_layers=2, d_model=16, d_ff=32, n_heads=2, vocab_size=50,
+                            max_positions=2 * ROW_BLOCK + 3)
+        decoder = nn.init_params(seq2seq.decoder_param_shapes(cfg), SplitRng(4))
+        rng = np.random.default_rng(length)
+        ids = rng.integers(0, 50, size=length)
+        source = Node(rng.normal(size=(10, 16)))
+        rows = []
+        original = nn.linear
+
+        def linear(x, w, b, tape):
+            if ".ff." in w.name:
+                rows.append(x.value.shape[0])
+            return original(x, w, b, tape)
+
+        monkeypatch.setattr(encoder.nn, "linear", linear)
+        free = decoder_forward(cfg, decoder, ids, source).value
+        assert max(rows) <= ROW_BLOCK and sum(rows) == 4 * length
+        rows.clear()
+        taped = decoder_forward(cfg, decoder, ids, source, tape=Tape()).value
+        assert rows == [length] * 4
+        assert free.shape == (length, 50)
+        np.testing.assert_allclose(free, taped, rtol=0.0, atol=1e-12)
 
 
 class TestSeq2SeqLoss:
