@@ -284,8 +284,8 @@ def generate(state: Seq2SeqState, source_ids, gen: GenerationConfig) -> list:
     each. One preallocated cache [n_layers, 2, beam_size, max_len, d_model]
     holds the live hypotheses' self-attention keys and values, row b for
     hypothesis b. Each step runs all B of them through the decoder as one
-    [B, d_model] batch that writes its position into the cache in place, and
-    beam selection gathers the kept rows to the front unless they kept their places.
+    [B, d_model] batch that writes its position into the cache in place.
+    Beam selection copies only the rows whose hypothesis changed index.
 
     Hypotheses are ranked by mean log-probability per generated token; ties
     break toward the lower token id, then the earlier hypothesis. The n-gram
@@ -338,8 +338,9 @@ def generate(state: Seq2SeqState, source_ids, gen: GenerationConfig) -> list:
         live = next_live
         if not live or len(finished) >= gen.beam_size:
             break
-        if keep != list(range(len(keep))):
-            cache[:, :, :len(keep), :t + 1] = cache[:, :, keep, :t + 1]
+        moved = [j for j, h in enumerate(keep) if h != j]  # none at beam 1
+        if moved:
+            cache[:, :, moved, :t + 1] = cache[:, :, [keep[j] for j in moved], :t + 1]
 
     if finished:
         finished.sort(key=lambda c: -c[0])
