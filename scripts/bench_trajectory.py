@@ -122,8 +122,7 @@ def mlm_step_peaks(model: dict, seq_len: int) -> dict:
     rng = sm.SplitRng(SEEDS[0]).split(1)
     ids = rng.integers(sm.ByteTokenizer.n_specials, cfg.vocab_size, size=seq_len)
     inputs, labels = sm.apply_mlm_mask(ids, sm.MaskingPolicy(), rng, vocab_size=cfg.vocab_size)
-    return _step_peaks(lambda tape: sm.mlm_loss(
-        cfg, state, sm.encoder_forward(cfg, state, inputs, tape=tape), labels, tape))
+    return _step_peaks(lambda tape: sm.mlm_loss(cfg, state, inputs, labels, tape))
 
 
 def seq2seq_step_peaks(model: dict, decoder: dict, src_len: int, tgt_len: int) -> dict:

@@ -13,7 +13,7 @@ attention cannot run without them. Reported numbers are 1 / the median of
 `repeats` samples of seconds per call, after `warmup` discarded calls,
 single-threaded (BLAS pools are clamped when threadpoolctl is available;
 otherwise only the thread variables in the environment hold them, and
-`specmix bench` warns). A
+`specmix bench` warns unless the loaded OpenBLAS reads back one thread). A
 sample is the mean over as many calls as add up to MIN_SAMPLE_S of timed
 work. The three workloads of one length take one sample each per round, their
 calls interleaved one by one, so a drift in host speed falls on all of them
@@ -25,10 +25,12 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import ctypes
 import io
 import os
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +57,9 @@ class BenchResult:
 
 # Environment variables that set the BLAS thread count when nothing clamps it.
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# OpenBLAS's thread-count getter under the names its builds export.
+_GET_THREADS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
+                "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
 
 
 def _threadpool_limits():
@@ -71,13 +76,41 @@ def _single_thread():
     return contextlib.nullcontext() if limits is None else limits(limits=1)
 
 
-def unclamped_blas_warning() -> str | None:
-    """Why a bench's BLAS may run more than one thread, or None when it is clamped."""
-    if _threadpool_limits() is not None:
+def _blas_threads() -> int | None:
+    """Threads the OpenBLAS loaded into this process will use, or None if unknown."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
         return None
+    for lib in sorted({line.split()[-1] for line in maps.splitlines()
+                       if "openblas" in line.lower() and ".so" in line}):
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for symbol in _GET_THREADS:
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
+
+
+def unclamped_blas_warning() -> str | None:
+    """Why a bench's BLAS may run more than one thread, or None when it runs one.
+
+    The count is read back from the loaded OpenBLAS under the bench's own
+    clamp, so it says what the timed calls ran with.
+    """
+    with _single_thread():
+        threads = _blas_threads()
+    if threads == 1:
+        return None
+    what = ("could not read the BLAS thread count" if threads is None
+            else f"BLAS runs {threads} threads, not 1")
     found = [f"{var}={os.environ[var]}" for var in THREAD_VARS if var in os.environ]
-    return ("threadpoolctl is not installed, so BLAS is not clamped to one thread; "
-            f"thread variables set: {', '.join(found) or 'none'}")
+    return f"{what}; thread variables set: {', '.join(found) or 'none'}"
 
 
 def _time_workloads(fns, repeats: int, warmup: int) -> list:

@@ -176,13 +176,18 @@ def _row_sublayers(params, prefix, norm, x: Node, y: Node, eps, tape: Tape | Non
     return _add_norm(params, f"{prefix}.ff_ln", u, h, eps, tape)
 
 
-def encoder_forward(cfg, state, token_ids, type_ids=None, tape: Tape | None = None) -> Node:
-    """Hidden states [L, d_model] for one sequence of token ids.
+def encoder_forward(cfg, state, token_ids, type_ids=None, tape: Tape | None = None,
+                    rows=None) -> Node:
+    """Hidden states [L, d_model] for one sequence of token ids, or [len(rows), d_model].
 
     Embedding sum (word + position + token type) is normalized, then each
     block computes u = norm(x + mix(x)) and x' = norm(u + FF(u)). Only the
     mixing step reads across rows; the rest is _row_sublayers, which bounds
-    its own tape-free memory.
+    its own tape-free memory. So when rows (indices into the sequence) is
+    given, every block but the last and the last block's mixing still run on
+    all L rows, and the last block's tail runs on x and mix(x) gathered at
+    rows by a taped row lookup: the output is those rows of the full output,
+    equal to it up to rounding.
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
     if token_ids.ndim != 1:
@@ -201,8 +206,11 @@ def encoder_forward(cfg, state, token_ids, type_ids=None, tape: Tape | None = No
     x = nn.layer_norm(x, state["embeddings.ln.gamma"], state["embeddings.ln.beta"], eps, tape)
 
     for i in range(cfg.n_layers):
-        x = _row_sublayers(state, f"layer{i}", "mixing_ln", x, mix_tokens(x, cfg.mixing, tape),
-                           eps, tape)
+        y = mix_tokens(x, cfg.mixing, tape)
+        if rows is not None and i == cfg.n_layers - 1:
+            x, y = (nn.embedding_lookup(rows, n, tape) for n in (x, y))
+        x = _row_sublayers(state, f"layer{i}", "mixing_ln", x, y, eps, tape)
+        del y  # so no block's mixing output outlives its tail
     return x
 
 
@@ -216,24 +224,24 @@ def mlm_logits(cfg, state, hidden: Node, tape: Tape | None = None) -> Node:
     return nn.tied_logits(h, state["embeddings.word"], state["mlm.bias"], tape)
 
 
-def mlm_loss(cfg, state, hidden: Node, labels, tape: Tape | None = None) -> Node:
-    """Masked-token loss over hidden states [L, d_model], the head run on labeled rows only.
+def mlm_loss(cfg, state, token_ids, labels, tape: Tape | None = None) -> Node:
+    """Masked-token loss of one sequence, its last block's tail and the head on labeled rows only.
 
-    Only rows whose label is not IGNORE_LABEL feed the loss, so they are
-    gathered first (a taped row lookup, whose backward scatters their
-    cotangents back into hidden) and mlm_logits runs on them alone: its
-    [rows, vocab] logits are about 15% of the all-rows head's at the default
-    masking rate. The loss equals masked_cross_entropy over all rows'
-    logits, and gradients differ from that only in rounding. With no labeled
-    row the loss is exactly 0 and no gradient flows.
+    Only rows whose label is not IGNORE_LABEL feed the loss, so
+    encoder_forward runs the last block's row-wise tail on those rows alone
+    (its mixing still reads all L rows) and mlm_logits runs on its output:
+    about 15% of the rows at the default masking rate. The loss equals
+    masked_cross_entropy over the all-rows head's logits of the full
+    forward, and gradients differ from that only in rounding. With no
+    labeled row the loss is exactly 0 and no gradient flows.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != hidden.value.shape[:-1]:
-        raise ShapeError(f"labels shape {labels.shape} does not match hidden states "
-                         f"{hidden.value.shape}")
+    if labels.shape != np.shape(token_ids):
+        raise ShapeError(f"labels shape {labels.shape} does not match token ids "
+                         f"{np.shape(token_ids)}")
     rows = np.flatnonzero(labels != nn.IGNORE_LABEL)
-    labeled = nn.embedding_lookup(rows, hidden, tape)
-    return nn.masked_cross_entropy(mlm_logits(cfg, state, labeled, tape), labels[rows], tape)
+    hidden = encoder_forward(cfg, state, token_ids, tape=tape, rows=rows)
+    return nn.masked_cross_entropy(mlm_logits(cfg, state, hidden, tape), labels[rows], tape)
 
 
 # The JSON form of an EncoderConfig, as run configs and checkpoint headers store it.

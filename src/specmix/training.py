@@ -16,7 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import nn
-from .encoder import encoder_forward, mlm_loss
+# encoder_forward is not called here, but code that looks up or wraps this
+# module's names finds it here
+from .encoder import encoder_forward, mlm_loss  # noqa: F401
 from .errors import ConfigError, TrainingError, is_int, is_real
 from .rng import SplitRng
 from .seq2seq import BOS_ID, EOS_ID, PAD_ID, seq2seq_loss
@@ -84,8 +86,13 @@ def apply_mlm_mask(slice_ids, policy: MaskingPolicy, rng,
 
     All three random vectors are drawn unconditionally and at full length so
     the stream consumption (hence every later draw) is independent of the
-    slice contents.
+    slice contents. vocab_size must leave an id to draw beyond the
+    tokenizer's special ids.
     """
+    if vocab_size <= ByteTokenizer.n_specials:
+        raise ConfigError(f"vocab_size {vocab_size} leaves no token id to draw: ids 0-"
+                          f"{ByteTokenizer.n_specials - 1} are the {ByteTokenizer.n_specials} "
+                          "special ids")
     ids = np.asarray(slice_ids, dtype=np.int64)
     L = ids.shape[0]
     u_select = rng.random(L)
@@ -256,7 +263,8 @@ def train_mlm(cfg, state, dataset: np.ndarray, schedule: BatchSchedule, steps: i
 
     Each example is one dataset slice masked by policy from a stream keyed by
     its running example index. Its loss is encoder.mlm_loss, which runs the
-    prediction head on the masked (labeled) rows only.
+    last encoder block's row-wise tail and the prediction head on the masked
+    (labeled) rows only.
     """
     if len(dataset) == 0:
         raise TrainingError("empty dataset")
@@ -269,7 +277,7 @@ def train_mlm(cfg, state, dataset: np.ndarray, schedule: BatchSchedule, steps: i
             dataset[idx], policy, mask_root.split(next(example_counter)),
             vocab_size=cfg.vocab_size,
         )
-        return mlm_loss(cfg, state, encoder_forward(cfg, state, inputs, tape=tape), labels, tape)
+        return mlm_loss(cfg, state, inputs, labels, tape)
 
     return _train(state.named_params, len(dataset), example_loss, schedule.batch_at,
                   steps, seed, optimizer)

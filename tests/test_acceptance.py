@@ -248,16 +248,16 @@ def test_criterion_2_gradient_suite(verdict):
                 check_grad(f, p.value, p.grad, 1e-4, zero_floor=1e-8)
                 n_checked += 1
 
-        # the same loss with the head on the labeled rows only, as train_mlm runs it
-        cfg = EncoderConfig(n_layers=1, d_model=8, d_ff=16, vocab_size=11,
+        # the same loss as train_mlm runs it: the last block's tail and the head on the
+        # labeled rows only, after a block that runs on all rows
+        cfg = EncoderConfig(n_layers=2, d_model=8, d_ff=16, vocab_size=11,
                             max_positions=8, mixing=MixingKind.HARTLEY)
         state = init_encoder_state(cfg, SplitRng(12))
         ids = np.array([1, 4, 2, 9, 3])
         labels = np.array([-1, 5, -1, 0, 7])
 
         def run(tape):
-            return mlm_loss(cfg, state, encoder_forward(cfg, state, ids, tape=tape), labels,
-                            tape)
+            return mlm_loss(cfg, state, ids, labels, tape)
 
         tape = Tape()
         tape.backward(run(tape))

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from specmix import bench
 from specmix.checkpoint import load_checkpoint, save_checkpoint
 from specmix.cli import _load_seq2seq_checkpoint, main
 from specmix.encoder import EncoderConfig, count_params, state_from_arrays
@@ -283,6 +284,20 @@ def test_unallocatable_model_is_one_error_line(tmp_path, capsys):
     assert main(["train-mlm", "--config", str(config)]) == 1
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "allocate" in lines[0]
+    assert not (tmp_path / "out.spmx").exists()
+
+
+def test_vocabulary_of_special_ids_only_is_one_error_line(tmp_path, capsys):
+    """Masking draws replacement ids above the 5 special ids, so vocab_size 5 leaves none."""
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, [{"text": "abcdefgh" * 8}])
+    config = write_config(tmp_path / "cfg.json", steps=1, seed=0,
+                          encoder={**ENCODER_DICT, "vocab_size": 5},
+                          paths={"corpus": str(corpus),
+                                 "checkpoint_out": str(tmp_path / "out.spmx")})
+    assert main(["train-mlm", "--config", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: vocab_size 5 leaves no token id to draw: ids 0-4 are the 5 special ids"]
     assert not (tmp_path / "out.spmx").exists()
 
 
@@ -676,11 +691,11 @@ class TestCheckpointHeaders:
 
         assert digest(["train-mlm"], {"encoder": encoder}, {"corpus": str(corpus)},
                       enc_ckpt) == (
-            "749a05c5dd914037515fc137d57336bcf7322dafb334dc888ff7288dfbcee451")
+            "17e45493696da3832ff8597e95f6ab3599febbd1df3898430089b9c29568fb32")
         assert digest(["resume", "--mixing", "hartley"], {"encoder": encoder},
                       {"corpus": str(corpus), "checkpoint_in": str(enc_ckpt)},
                       tmp_path / "resumed.spmx") == (
-            "25b0302f4504b9384f96a4981bff5105f861c297d6d366792a61795c8a56291e")
+            "a49e30d31e1cbd5c14345ed9255242bfbef4d75a9aae1da0b7a9f12c82a62185")
         assert digest(["finetune"], {"encoder": encoder, "decoder": decoder},
                       {"pairs": str(pairs), "checkpoint_in": str(enc_ckpt)},
                       tmp_path / "s2s.spmx") == (
@@ -806,6 +821,7 @@ class TestBenchCommand:
     def test_indivisible_heads_is_one_error_line(self, monkeypatch, capsys):
         # with BLAS unclamped, the arguments are still rejected before any warning
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # its import now fails
+        monkeypatch.setattr(bench, "_blas_threads", lambda: 4)
         assert main(["bench", "--seq-lens", "8", "--d-model", "768", "--n-heads", "5"]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "n_heads 5" in lines[0]
@@ -814,31 +830,43 @@ class TestBenchCommand:
 
     def test_warns_when_blas_is_not_clamped(self, monkeypatch, capsys):
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # its import now fails
+        monkeypatch.setattr(bench, "_blas_threads", lambda: 4)  # the count read back
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.setenv("MKL_NUM_THREADS", "2")
         assert main(self.TINY) == 0
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("warning: threadpoolctl")
+        assert len(lines) == 1 and lines[0].startswith("warning: BLAS runs 4 threads, not 1")
         assert "OPENBLAS_NUM_THREADS=1, MKL_NUM_THREADS=2" in lines[0]
         assert "OMP_NUM_THREADS" not in lines[0]
 
     def test_warning_says_when_no_variable_is_set(self, monkeypatch, capsys):
         monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.setattr(bench, "_blas_threads", lambda: None)  # no count could be read
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         assert main(self.TINY) == 0
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].endswith("thread variables set: none")
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: could not read the BLAS thread count")
+        assert lines[0].endswith("thread variables set: none")
 
     def test_no_warning_when_threadpoolctl_clamps(self, monkeypatch, capsys):
         calls = []
         fake = types.ModuleType("threadpoolctl")
         fake.threadpool_limits = lambda limits: calls.append(limits) or contextlib.nullcontext()
         monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
+        monkeypatch.setattr(bench, "_blas_threads", lambda: 1)  # as read under the clamp
         assert main(self.TINY) == 0
         assert capsys.readouterr().err == ""
-        assert calls == [1]
+        assert calls == [1, 1]  # the timed calls and the read-back both ran clamped
+
+    def test_no_warning_when_the_environment_clamps(self, monkeypatch, capsys):
+        """Without threadpoolctl, OPENBLAS_NUM_THREADS=1 clamps the loaded OpenBLAS."""
+        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
+        monkeypatch.setattr(bench, "_blas_threads", lambda: 1)
+        assert main(self.TINY) == 0
+        assert capsys.readouterr().err == ""
 
 
 class TestCountParams:

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from fdcheck import check_grad
-from specmix import nn
-from specmix import encoder
+from specmix import encoder, nn, training
 from specmix.encoder import (
     ROW_BLOCK,
     EncoderConfig,
@@ -28,7 +27,7 @@ from specmix.errors import CheckpointError, ConfigError, ShapeError, build_confi
 from specmix.nn import Node, Tape
 from specmix.rng import SplitRng
 from specmix.spectral import MixingKind, dft_naive
-from specmix.training import MaskingPolicy, apply_mlm_mask
+from specmix.training import BatchSchedule, MaskingPolicy, apply_mlm_mask, train_mlm
 
 LINEAR_KINDS = [MixingKind.FOURIER_REAL, MixingKind.HARTLEY, MixingKind.FOURIER_IMAG]
 
@@ -311,16 +310,110 @@ class TestEncoderGradients:
             check_grad(f, p.value, p.grad, 1e-4, zero_floor=1e-8)
 
 
+class TestRowsForward:
+    """encoder_forward(rows=r) runs the last block's tail on rows r: the full output's rows r."""
+
+    LENGTHS = [1, ROW_BLOCK - 1, ROW_BLOCK + 1, 2 * ROW_BLOCK + 3]
+
+    @staticmethod
+    def model(kind):
+        cfg = EncoderConfig(n_layers=2, d_model=16, d_ff=32, vocab_size=50,
+                            max_positions=2 * ROW_BLOCK + 3, mixing=kind)
+        return cfg, init_encoder_state(cfg, SplitRng(4))
+
+    @staticmethod
+    def pick(length):
+        """Ids, and up to a third of the positions unsorted with the first repeated at the end."""
+        rng = np.random.default_rng(length)
+        rows = rng.permutation(length)[:max(1, length // 3)]
+        return rng.integers(0, 50, size=length), np.append(rows, rows[0])
+
+    @staticmethod
+    def assert_close(a, ref, what):
+        # BLAS sums over other row blocks, so only rounding may differ
+        assert np.linalg.norm(a - ref) <= 1e-12 * np.linalg.norm(ref), what
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["free", "taped"])
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("kind", list(MixingKind))
+    def test_matches_the_full_output_rows(self, kind, length, taped):
+        cfg, state = self.model(kind)
+        ids, rows = self.pick(length)
+        out = encoder_forward(cfg, state, ids, tape=Tape() if taped else None, rows=rows).value
+        full = encoder_forward(cfg, state, ids, tape=Tape() if taped else None).value
+        assert out.shape == (len(rows), 16)
+        self.assert_close(out, full[rows], "output")
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["free", "taped"])
+    def test_no_rows_is_an_empty_output(self, taped):
+        cfg, state = self.model(MixingKind.HARTLEY)
+        out = encoder_forward(cfg, state, np.arange(5), tape=Tape() if taped else None,
+                              rows=np.zeros(0, dtype=np.int64))
+        assert out.value.shape == (0, 16)
+
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("kind", LINEAR_KINDS + [MixingKind.MODULUS])
+    def test_gradients_through_the_head_match(self, kind, length):
+        """Phase gradients are too ill-conditioned to compare here; TestMlmLoss covers it."""
+        cfg, state = self.model(kind)
+        ids, rows = self.pick(length)
+        labels = np.random.default_rng(0).integers(0, 50, size=len(rows))
+
+        def grads(hidden_on):
+            state.zero_grad()
+            tape = Tape()
+            loss = nn.masked_cross_entropy(mlm_logits(cfg, state, hidden_on(tape), tape),
+                                           labels, tape)
+            tape.backward(loss)
+            return {name: p.grad.copy() for name, p in state.named_params()}
+
+        got = grads(lambda t: encoder_forward(cfg, state, ids, tape=t, rows=rows))
+        ref = grads(lambda t: nn.embedding_lookup(rows, encoder_forward(cfg, state, ids, tape=t),
+                                                  t))
+        for name, g in ref.items():
+            self.assert_close(got[name], g, name)
+
+    def test_train_mlm_runs_the_last_tail_on_labeled_rows(self, monkeypatch):
+        """Earlier blocks' feed-forward sees all L rows; the last block's and the head's see
+        only the labeled rows."""
+        cfg = EncoderConfig(n_layers=3, d_model=8, d_ff=16, vocab_size=261, max_positions=32,
+                            mixing=MixingKind.HARTLEY)
+        state = init_encoder_state(cfg, SplitRng(0))
+        dataset = np.random.default_rng(0).integers(5, 261, size=(4, 32))
+        seen, labeled = [], []
+        linear, mask = nn.linear, training.apply_mlm_mask
+
+        def spy_linear(x, w, b, tape):
+            seen.append((w.name, x.value.shape[0]))
+            return linear(x, w, b, tape)
+
+        def spy_mask(*args, **kwargs):
+            inputs, labels = mask(*args, **kwargs)
+            labeled.append(int((labels != nn.IGNORE_LABEL).sum()))
+            return inputs, labels
+
+        monkeypatch.setattr(encoder.nn, "linear", spy_linear)
+        monkeypatch.setattr(training, "apply_mlm_mask", spy_mask)
+        train_mlm(cfg, state, dataset, BatchSchedule([(None, 2)]), 2, seed=3)
+        assert len(labeled) == 4 and 0 < min(labeled)
+        expected = []
+        for n in labeled:
+            for name, rows in (("layer0", 32), ("layer1", 32), ("layer2", n)):
+                expected += [(f"{name}.ff.w1", rows), (f"{name}.ff.w2", rows)]
+            expected.append(("mlm.dense.w", n))
+        assert seen == expected
+
+
 class TestMlmLoss:
-    """The labeled-rows head against the all-rows head it replaced in training."""
+    """The labeled-rows loss against the full forward and the all-rows head it replaced."""
 
     IDS = np.array([1, 4, 2, 9, 7, 3, 10, 5])
 
     @staticmethod
-    def loss_and_grads(cfg, state, ids, head):
+    def loss_and_grads(state, loss_on):
         state.zero_grad()
         tape = Tape()
-        loss = head(encoder_forward(cfg, state, ids, tape=tape), tape)
+        loss = loss_on(tape)
         tape.backward(loss)
         return float(loss.value), {name: p.grad.copy() for name, p in state.named_params()}
 
@@ -332,10 +425,11 @@ class TestMlmLoss:
         state = init_encoder_state(cfg, SplitRng(11))
         labels = np.array(labels)
         loss, grads = self.loss_and_grads(
-            cfg, state, self.IDS, lambda h, t: mlm_loss(cfg, state, h, labels, t))
+            state, lambda t: mlm_loss(cfg, state, self.IDS, labels, t))
         ref_loss, ref_grads = self.loss_and_grads(
-            cfg, state, self.IDS,
-            lambda h, t: nn.masked_cross_entropy(mlm_logits(cfg, state, h, t), labels, t))
+            state, lambda t: nn.masked_cross_entropy(
+                mlm_logits(cfg, state, encoder_forward(cfg, state, self.IDS, tape=t), t),
+                labels, t))
         assert loss == ref_loss
         for name, ref in ref_grads.items():
             # BLAS sums over fewer rows, so only rounding may differ
@@ -346,8 +440,7 @@ class TestMlmLoss:
         inputs, labels = apply_mlm_mask(self.IDS[self.IDS >= 5], MaskingPolicy(mask_prob=0.0),
                                         SplitRng(0).split(0), vocab_size=TINY.vocab_size)
         tape = Tape()
-        loss = mlm_loss(TINY, state, encoder_forward(TINY, state, inputs, tape=tape), labels,
-                        tape)
+        loss = mlm_loss(TINY, state, inputs, labels, tape)
         tape.backward(loss)
         assert loss.value == 0.0
         assert not any(p.grad.any() for _, p in state.named_params())
@@ -355,7 +448,7 @@ class TestMlmLoss:
     def test_labels_shape_mismatch(self):
         state = init_encoder_state(TINY, SplitRng(0))
         with pytest.raises(ShapeError, match="labels shape"):
-            mlm_loss(TINY, state, Node(np.zeros((4, 8))), [0, 1, 2], None)
+            mlm_loss(TINY, state, [1, 2, 3, 4], [0, 1, 2], None)
 
 
 class TestSwapMixing:
