@@ -78,6 +78,24 @@ def _require_input(cfg: RunConfig, key: str, command: str) -> str:
     return path
 
 
+def _check_ids(where: str, what: str, ids, key: str, model) -> None:
+    """Raise ConfigError at where unless ids run through model.<key>.
+
+    ids is one sequence or a batch of rows. Rows must be non-empty and no
+    longer than max_positions, and every id must be below vocab_size.
+    """
+    length = ids.shape[-1]
+    if length == 0:
+        raise ConfigError(f"{where}: empty {what}")
+    if length > model.max_positions:
+        raise ConfigError(f"{where}: {what} of {length} tokens exceeds "
+                          f"model.{key}.max_positions {model.max_positions}")
+    top = int(ids.max(initial=0))
+    if top >= model.vocab_size:
+        raise ConfigError(f"{where}: {what} id {top} needs model.{key}.vocab_size >= "
+                          f"{top + 1}, got {model.vocab_size}")
+
+
 def _out_path(cfg: RunConfig, args, key: str) -> str:
     out = args.out if args.out is not None else cfg.path(key)
     if out is None:
@@ -143,15 +161,29 @@ def cmd_train_mlm(args) -> int:
                           f"{args.command} does not stop early")
     corpus = _require_input(cfg, "corpus", args.command)
     out = _out_path(cfg, args, "checkpoint_out")
+    dataset = pack_corpus(load_corpus_jsonl(corpus), cfg.encoder.max_positions)
+    # a vocabulary of special ids only is masking's error, which names it
+    if cfg.encoder.vocab_size > ByteTokenizer.n_specials:
+        _check_ids(corpus, "corpus", dataset, "encoder", cfg.encoder)
     if args.command == "resume":
         state = _warm_start_encoder(cfg, "resume", with_mlm_head=True)
         print(f"resumed {cfg.path('checkpoint_in')} (optimizer moments reset)")
     else:
         state = init_encoder_state(cfg.encoder, SplitRng(cfg.seed), with_mlm_head=True)
-    dataset = pack_corpus(load_corpus_jsonl(corpus), cfg.encoder.max_positions)
     trace = train_mlm(cfg.encoder, state, dataset, cfg.batch_schedule(), cfg.steps, cfg.seed,
                       optimizer=cfg.build_optimizer(), policy=cfg.masking)
     return _finish_training(cfg, out, dataclasses.asdict(cfg.encoder), state, trace, "trained")
+
+
+def _load_pairs(cfg: RunConfig, key: str) -> list:
+    """paths.<key>'s (source, target) pairs, each checked against the model."""
+    path = _require_input(cfg, key, "finetune")
+    pairs = load_pairs_jsonl(path)
+    for (line_no,), (source, target) in zip(read_jsonl(path, ()), pairs):
+        where = f"{path}:{line_no}"
+        _check_ids(where, "source", source, "encoder", cfg.encoder)
+        _check_ids(where, "target (eos included)", target, "decoder", cfg.decoder)
+    return pairs
 
 
 def cmd_finetune(args) -> int:
@@ -168,16 +200,13 @@ def cmd_finetune(args) -> int:
     if cfg.path("val_pairs") is not None and cfg.patience is None:
         raise ConfigError("paths.val_pairs is read only for early stopping: "
                           "finetune needs training.patience with it")
-    pairs_path = _require_input(cfg, "pairs", "finetune")
+    pairs = _load_pairs(cfg, "pairs")
+    val_pairs = _load_pairs(cfg, "val_pairs") if cfg.path("val_pairs") is not None else None
     out = _out_path(cfg, args, "checkpoint_out")
     state = init_seq2seq_state(cfg.encoder, cfg.decoder, SplitRng(cfg.seed))
     if cfg.path("checkpoint_in") is not None:
         state.encoder = _warm_start_encoder(cfg, "finetune", with_mlm_head=False)
         print(f"initialized encoder from {cfg.path('checkpoint_in')}")
-    pairs = load_pairs_jsonl(pairs_path)
-    val_pairs = None
-    if cfg.path("val_pairs") is not None:
-        val_pairs = load_pairs_jsonl(_require_input(cfg, "val_pairs", "finetune"))
     trace = train_seq2seq(
         state,
         pairs,

@@ -221,26 +221,21 @@ def seq2seq_loss(state: Seq2SeqState, source_ids, target_ids, tape: Tape | None 
     return nn.masked_cross_entropy(logits, labels, tape)
 
 
-def _record_ngram(seen: dict, tokens: list, n: int) -> dict:
-    """Index the n-gram that tokens[-1] completes: (n-1)-gram -> tokens seen after it.
+def _ban_repeats(logp: np.ndarray, tokens: np.ndarray, n: int) -> None:
+    """Set logp[b, tok] to -inf where tok would complete an n-gram already in tokens[b].
 
-    Values are frozensets, so a shallow dict copy gives a hypothesis its own
-    index. Returns seen, updated in place.
+    tokens is [B, T], one hypothesis per row, each rescanned whole: window s
+    matches where tokens[b, s:s + n - 1] equals the row's last n - 1 tokens,
+    and then bans tokens[b, s + n - 1].
     """
-    if 0 < n <= len(tokens):
-        key = tuple(tokens[len(tokens) - n:-1])
-        seen[key] = seen.get(key, frozenset()) | {tokens[-1]}
-    return seen
-
-
-def _banned_tokens(seen: dict, tokens: list, n: int) -> frozenset:
-    """Token ids that would complete an n-gram already present in tokens.
-
-    seen is the index _record_ngram built over every prefix of tokens.
-    """
-    if n <= 0 or len(tokens) < n - 1:
-        return frozenset()
-    return seen.get(tuple(tokens[len(tokens) - (n - 1):]), frozenset())
+    width = tokens.shape[1] - n + 1  # n-gram windows per row
+    if n <= 0 or width <= 0:
+        return
+    match = np.ones((tokens.shape[0], width), dtype=bool)
+    for j in range(n - 1):
+        match &= tokens[:, j:j + width] == tokens[:, width + j, None]
+    rows, starts = np.nonzero(match)
+    logp[rows, tokens[rows, starts + n - 1]] = -np.inf
 
 
 def _decoder_step(cfg: DecoderConfig, decoder: dict, tokens, t: int, cross_kv: list,
@@ -283,14 +278,15 @@ def generate(state: Seq2SeqState, source_ids, gen: GenerationConfig) -> list:
     cross-attention keys and values are projected once, [L_src, d_model]
     each. One preallocated cache [n_layers, 2, beam_size, max_len, d_model]
     holds the live hypotheses' self-attention keys and values, row b for
-    hypothesis b. Each step runs all B of them through the decoder as one
-    [B, d_model] batch that writes its position into the cache in place.
-    Beam selection copies only the rows whose hypothesis changed index.
+    hypothesis b, beside the token matrix [beam_size, max_len + 1] (bos in
+    column 0) and the summed log-probabilities [B]. Each step runs all B
+    hypotheses through the decoder as one [B, d_model] batch that writes its
+    position into the cache in place. Beam selection copies only the rows
+    whose hypothesis changed index.
 
     Hypotheses are ranked by mean log-probability per generated token; ties
     break toward the lower token id, then the earlier hypothesis. The n-gram
-    constraint covers the whole hypothesis including bos, through an index
-    each hypothesis extends as it grows.
+    constraint covers the whole hypothesis including bos.
     """
     source_ids = np.asarray(source_ids, dtype=np.int64)[: gen.max_input_len]
     hidden = encoder_forward(state.encoder_cfg, state.encoder, source_ids)
@@ -301,59 +297,41 @@ def generate(state: Seq2SeqState, source_ids, gen: GenerationConfig) -> list:
     # bos occupies one decoder position, so content length is capped below it.
     max_len = min(gen.max_target_len, cfg.max_positions - 1)
     cache = np.empty((cfg.n_layers, 2, gen.beam_size, max_len, cfg.d_model))
-    n = gen.no_repeat_ngram
-
-    live = [([gen.bos_id], 0.0, _record_ngram({}, [gen.bos_id], n))]
-    finished = []
+    tokens = np.empty((gen.beam_size, max_len + 1), dtype=np.int64)
+    tokens[0, 0] = gen.bos_id
+    totals = np.zeros(1)
+    length, finished = 1, []  # finished: (score, ids without bos and eos)
     for t in range(max_len):
-        logits = _decoder_step(cfg, decoder, [h[0][-1] for h in live], t, cross_kv, cache)
-        logp = nn.log_softmax_rows(logits)
-        candidates = []
-        for hyp_idx, (tokens, total, seen) in enumerate(live):
-            row = logp[hyp_idx]
-            for tok in _banned_tokens(seen, tokens, n):
-                row[tok] = -np.inf
-            # descending logp, exact ties resolved toward the lower token id
-            order = np.lexsort((np.arange(row.shape[0]), -row))[: gen.beam_size]
-            for tok in order:
-                tok = int(tok)
-                if not np.isfinite(row[tok]):
-                    continue
-                new_total = total + float(row[tok])
-                n_generated = len(tokens)  # excludes bos, counts the new token
-                score = new_total / n_generated
-                candidates.append((score, tok, hyp_idx, new_total))
-        if not candidates:
+        B = len(totals)
+        logp = nn.log_softmax_rows(_decoder_step(cfg, decoder, tokens[:B, t], t, cross_kv,
+                                                 cache))
+        _ban_repeats(logp, tokens[:B, :t + 1], gen.no_repeat_ngram)
+        # each row's best beam_size tokens, exact ties resolved toward the lower id
+        top = np.argsort(-logp, axis=-1, kind="stable")[:, : gen.beam_size]
+        hyp, tok = np.repeat(np.arange(B), top.shape[1]), top.ravel()
+        finite = np.isfinite(logp[hyp, tok])
+        hyp, tok = hyp[finite], tok[finite]
+        if not len(tok):
             break
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        next_live, keep = [], []
-        for score, tok, hyp_idx, new_total in candidates[: gen.beam_size]:
-            tokens, _, seen = live[hyp_idx]
-            tokens = tokens + [tok]
-            if tok == gen.eos_id:
-                finished.append((score, tokens))
-            else:
-                next_live.append((tokens, new_total, _record_ngram(dict(seen), tokens, n)))
-                keep.append(hyp_idx)
-        live = next_live
-        if not live or len(finished) >= gen.beam_size:
+        new_totals = totals[hyp] + logp[hyp, tok]
+        scores = new_totals / (t + 1)  # t + 1 generated tokens: bos excluded
+        best = np.lexsort((hyp, tok, -scores))[: gen.beam_size]
+        hyp, tok, scores, new_totals = hyp[best], tok[best], scores[best], new_totals[best]
+        ended = tok == gen.eos_id
+        finished += [(score, tokens[h, 1:t + 1].tolist())
+                     for score, h in zip(scores[ended].tolist(), hyp[ended])]
+        keep, totals = hyp[~ended], new_totals[~ended]
+        if not len(keep) or len(finished) >= gen.beam_size:
             break
-        moved = [j for j, h in enumerate(keep) if h != j]  # none at beam 1
-        if moved:
-            cache[:, :, moved, :t + 1] = cache[:, :, [keep[j] for j in moved], :t + 1]
+        moved = np.flatnonzero(keep != np.arange(len(keep)))  # none at beam 1
+        if len(moved):
+            tokens[moved, :t + 1] = tokens[keep[moved], :t + 1]
+            cache[:, :, moved, :t + 1] = cache[:, :, keep[moved], :t + 1]
+        tokens[:len(keep), t + 1] = tok[~ended]
+        length = t + 2
 
+    # ids drop only the frame, leading bos and terminal eos. A mid-sequence
+    # special stays put, otherwise dropping it could splice a repeated n-gram.
     if finished:
-        finished.sort(key=lambda c: -c[0])
-        best = finished[0][1]
-    elif live:
-        best = max(
-            enumerate(live), key=lambda e: (e[1][1] / max(len(e[1][0]) - 1, 1), -e[0])
-        )[1][0]
-    else:
-        return []
-    # strip only the frame: leading bos, terminal eos. A mid-sequence special
-    # stays put, otherwise stripping could splice a repeated n-gram together.
-    best = best[1:]
-    if best and best[-1] == gen.eos_id:
-        best = best[:-1]
-    return best[: gen.max_target_len]
+        return max(finished, key=lambda f: f[0])[1]
+    return tokens[np.argmax(totals / max(length - 1, 1)), 1:length].tolist()

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from specmix import bench
+from specmix import bench, cli
 from specmix.checkpoint import load_checkpoint, save_checkpoint
 from specmix.cli import _load_seq2seq_checkpoint, main
 from specmix.encoder import EncoderConfig, count_params, state_from_arrays
@@ -298,6 +298,30 @@ def test_vocabulary_of_special_ids_only_is_one_error_line(tmp_path, capsys):
     assert main(["train-mlm", "--config", str(config)]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: vocab_size 5 leaves no token id to draw: ids 0-4 are the 5 special ids"]
+    assert not (tmp_path / "out.spmx").exists()
+
+
+def no_training(*args, **kwargs):
+    raise AssertionError("a training step ran before the input check")
+
+
+@pytest.mark.parametrize("command", ["train-mlm", "resume"])
+@pytest.mark.parametrize("vocab_size", [6, 120])
+def test_corpus_id_beyond_the_vocabulary_is_one_error_line(command, vocab_size, workdir,
+                                                           tmp_path, capsys, monkeypatch):
+    """The packed corpus's largest id ('t', byte 116, is id 121) is checked before any step."""
+    monkeypatch.setattr(cli, "train_mlm", no_training)
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, [{"text": "the cat sat on the mat. " * 4}])
+    config = write_config(tmp_path / "cfg.json", steps=1, seed=0,
+                          encoder={**ENCODER_DICT, "vocab_size": vocab_size},
+                          paths={"corpus": str(corpus),
+                                 "checkpoint_in": str(workdir.checkpoint),
+                                 "checkpoint_out": str(tmp_path / "out.spmx")})
+    assert main([command, "--config", str(config)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {corpus}: corpus id 121 needs model.encoder.vocab_size >= 122, "
+        f"got {vocab_size}"]
     assert not (tmp_path / "out.spmx").exists()
 
 
@@ -647,6 +671,44 @@ class TestFinetuneTrainingKeys:
     def test_val_pairs_with_patience_trains(self, tmp_path):
         assert self.run(tmp_path, [[None, 2]], extra_paths=("val_pairs",), patience=2) == 0
         assert (tmp_path / "ft.spmx").exists()
+
+
+class TestFinetunePairChecks:
+    """finetune checks every pair against the model before its first step."""
+
+    @pytest.mark.parametrize("key", ["pairs", "val_pairs"])
+    @pytest.mark.parametrize("pair, vocab, message", [
+        ({"source": "", "target": "ab"}, {}, "empty source"),
+        ({"source": "x" * 40, "target": "ab"}, {},
+         "source of 40 tokens exceeds model.encoder.max_positions 32"),
+        ({"source": "ab", "target": "y" * 16}, {},
+         "target (eos included) of 17 tokens exceeds model.decoder.max_positions 16"),
+        ({"source": "az", "target": "ab"}, {"encoder": 120},
+         "source id 127 needs model.encoder.vocab_size >= 128, got 120"),
+        ({"source": "ab", "target": "az"}, {"decoder": 120},
+         "target (eos included) id 127 needs model.decoder.vocab_size >= 128, got 120"),
+    ])
+    def test_bad_pair_is_one_error_line(self, key, pair, vocab, message, tmp_path, capsys,
+                                        monkeypatch):
+        monkeypatch.setattr(cli, "train_seq2seq", no_training)
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        write_jsonl(good, [{"source": s, "target": s} for s in COPY_SOURCES[:4]])
+        bad.write_text(json.dumps({"source": "ab", "target": "ab"}) + "\n\n"
+                       + json.dumps(pair) + "\n", encoding="utf-8")
+        cfg = tmp_path / "ft.json"
+        cfg.write_text(json.dumps({
+            "model": {"encoder": dict(ENCODER_DICT, n_layers=1,
+                                      vocab_size=vocab.get("encoder", 261)),
+                      "decoder": {"n_layers": 1, "d_model": 16, "d_ff": 32, "n_heads": 2,
+                                  "vocab_size": vocab.get("decoder", 261),
+                                  "max_positions": 16}},
+            "training": {"steps": 3, "seed": 0, "schedule": [[None, 2]], "patience": 2},
+            "paths": {"pairs": str(good), "val_pairs": str(good), key: str(bad),
+                      "checkpoint_out": str(tmp_path / "ft.spmx")},
+        }))
+        assert main(["finetune", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {bad}:3: {message}"]
+        assert not (tmp_path / "ft.spmx").exists()
 
 
 class TestCheckpointHeaders:

@@ -19,8 +19,7 @@ from specmix.seq2seq import (
     EOS_ID,
     DecoderConfig,
     GenerationConfig,
-    _banned_tokens,
-    _record_ngram,
+    _ban_repeats,
     decoder_forward,
     generate,
     init_seq2seq_state,
@@ -328,12 +327,11 @@ def scan_banned(tokens, n: int) -> set:
     return banned
 
 
-def indexed_banned(tokens, n: int) -> frozenset:
-    """The incremental index, grown one token at a time as generate grows it."""
-    seen = {}
-    for end in range(1, len(tokens) + 1):
-        _record_ngram(seen, tokens[:end], n)
-    return _banned_tokens(seen, tokens, n)
+def banned(tokens, n: int) -> set:
+    """The token ids _ban_repeats sets to -inf for one hypothesis."""
+    logp = np.zeros((1, 8))
+    _ban_repeats(logp, np.array([tokens], dtype=np.int64), n)
+    return set(np.flatnonzero(logp[0] == -np.inf).tolist())
 
 
 class TestBannedTokens:
@@ -341,27 +339,27 @@ class TestBannedTokens:
         # Hypothesis [a,b,a]: bigram (a,b) exists and the tail is "a", so b is
         # banned for the next slot.
         a, b = 5, 6
-        assert indexed_banned([BOS_ID, a, b, a], 2) == {b}
+        assert banned([BOS_ID, a, b, a], 2) == {b}
 
     def test_disabled(self):
-        assert indexed_banned([BOS_ID, 5, 6, 5], 0) == set()
+        assert banned([BOS_ID, 5, 6, 5], 0) == set()
 
     def test_unigram_bans_everything_seen(self):
-        assert indexed_banned([BOS_ID, 5, 6], 1) == {BOS_ID, 5, 6}
+        assert banned([BOS_ID, 5, 6], 1) == {BOS_ID, 5, 6}
 
     def test_too_short_for_prefix(self):
-        assert indexed_banned([BOS_ID], 3) == set()
+        assert banned([BOS_ID], 3) == set()
 
-    def test_copied_index_is_independent(self):
-        parent = _record_ngram(_record_ngram({}, [5, 6], 2), [5, 6, 5], 2)
-        child = _record_ngram(dict(parent), [5, 6, 5, 7], 2)
-        assert _banned_tokens(child, [5, 6, 5, 7, 5], 2) == {6, 7}
-        assert _banned_tokens(parent, [5, 6, 5], 2) == {6}
-
-    @given(st.lists(st.integers(0, 3), max_size=12), st.integers(0, 4))
+    @given(st.integers(1, 4), st.integers(0, 12), st.integers(0, 4), st.data())
     @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_index_matches_full_rescan(self, tokens, n):
-        assert indexed_banned(tokens, n) == scan_banned(tokens, n)
+    def test_rows_match_full_rescan(self, rows, length, n, data):
+        tokens = np.array(data.draw(st.lists(st.lists(st.integers(0, 3), min_size=length,
+                                                      max_size=length),
+                                             min_size=rows, max_size=rows)), dtype=np.int64)
+        logp = np.zeros((rows, 4))
+        _ban_repeats(logp, tokens, n)
+        for row, hypothesis in zip(logp, tokens.tolist()):
+            assert set(np.flatnonzero(row == -np.inf).tolist()) == scan_banned(hypothesis, n)
 
 
 def rig_constant_argmax(state, token, strength=10.0):
@@ -527,7 +525,8 @@ def decoding_cases(draw):
     dec = DecoderConfig(n_layers=draw(st.integers(1, 2)), d_model=d_model, d_ff=8,
                         n_heads=n_heads, vocab_size=vocab, max_positions=max_positions)
     state = init_seq2seq_state(enc, dec, SplitRng(draw(st.integers(0, 2**16))))
-    scale = draw(st.sampled_from((1.0, 30.0)))  # 30 sharpens the logits
+    # 30 sharpens the logits; 0 flattens them, so hypotheses tie exactly
+    scale = draw(st.sampled_from((1.0, 30.0, 0.0)))
     for p in state.decoder.values():
         if p.value.ndim == 2:
             p.value *= scale
