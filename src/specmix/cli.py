@@ -161,7 +161,11 @@ def cmd_train_mlm(args) -> int:
                           f"{args.command} does not stop early")
     corpus = _require_input(cfg, "corpus", args.command)
     out = _out_path(cfg, args, "checkpoint_out")
-    dataset = pack_corpus(load_corpus_jsonl(corpus), cfg.encoder.max_positions)
+    docs = load_corpus_jsonl(corpus)
+    dataset = pack_corpus(docs, cfg.encoder.max_positions)
+    if not len(dataset):
+        raise ConfigError(f"{corpus}: {sum(map(len, docs))} tokens fill no slice of "
+                          f"model.encoder.max_positions {cfg.encoder.max_positions}")
     # a vocabulary of special ids only is masking's error, which names it
     if cfg.encoder.vocab_size > ByteTokenizer.n_specials:
         _check_ids(corpus, "corpus", dataset, "encoder", cfg.encoder)
@@ -176,9 +180,11 @@ def cmd_train_mlm(args) -> int:
 
 
 def _load_pairs(cfg: RunConfig, key: str) -> list:
-    """paths.<key>'s (source, target) pairs, each checked against the model."""
+    """paths.<key>'s (source, target) pairs, at least one, each checked against the model."""
     path = _require_input(cfg, key, "finetune")
     pairs = load_pairs_jsonl(path)
+    if not pairs:
+        raise ConfigError(f"{path}: no pairs")
     for (line_no,), (source, target) in zip(read_jsonl(path, ()), pairs):
         where = f"{path}:{line_no}"
         _check_ids(where, "source", source, "encoder", cfg.encoder)
@@ -200,6 +206,9 @@ def cmd_finetune(args) -> int:
     if cfg.path("val_pairs") is not None and cfg.patience is None:
         raise ConfigError("paths.val_pairs is read only for early stopping: "
                           "finetune needs training.patience with it")
+    if cfg.patience is not None and cfg.path("val_pairs") is None:
+        raise ConfigError("training.patience needs paths.val_pairs: early stopping watches "
+                          "their loss")
     pairs = _load_pairs(cfg, "pairs")
     val_pairs = _load_pairs(cfg, "val_pairs") if cfg.path("val_pairs") is not None else None
     out = _out_path(cfg, args, "checkpoint_out")
@@ -238,17 +247,23 @@ def cmd_generate(args) -> int:
     ckpt_path = _require_input(cfg, "checkpoint_in", "generate")
     sources_path = _require_input(cfg, "sources", "generate")
     out = _out_path(cfg, args, "output")
+    tokenizer = ByteTokenizer()
+    sources = [(f"{sources_path}:{line_no}", source, tokenizer.encode(source))
+               for line_no, source in read_jsonl(sources_path, ("source",))]
+    for where, _, ids in sources:
+        if not len(ids):
+            raise ConfigError(f"{where}: empty source")
     state = _load_seq2seq_checkpoint(ckpt_path)
     gen = cfg.generation if cfg.generation is not None else GenerationConfig()
-    tokenizer = ByteTokenizer()
     # Decode everything first, so a source that fails leaves no partial output.
     lines = []
-    for line_no, source in read_jsonl(sources_path, ("source",)):
+    for where, source, ids in sources:
         try:
-            ids = generate(state, tokenizer.encode(source), gen)
+            generated = generate(state, ids, gen)
         except ShapeError as exc:
-            raise ShapeError(f"{sources_path}:{line_no}: {exc}") from exc
-        lines.append(json.dumps({"source": source, "generated": tokenizer.decode(ids)}) + "\n")
+            raise ShapeError(f"{where}: {exc}") from exc
+        lines.append(json.dumps({"source": source, "generated": tokenizer.decode(generated)})
+                     + "\n")
     with open(out, "w", encoding="utf-8") as out_fh:
         out_fh.writelines(lines)
     print(f"generated {len(lines)} sequences -> {out}")

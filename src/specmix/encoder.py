@@ -19,10 +19,14 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import nn
-from .errors import CheckpointError, ConfigError, ShapeError, build_config, is_int, is_real
+from .errors import CheckpointError, ConfigError, ShapeError, build_config, is_int
 from .nn import Node, Parameter, Tape
 from .rng import SplitRng
 from .spectral import MixingKind, mix2d, mix2d_vjp
+
+LAYER_NORM_EPS = 1e-12  # of every layer norm, encoder and decoder alike
+N_TOKEN_TYPES = 2  # token-type table rows; every token reads row 0, kept so counts match FNet
+
 
 @dataclass(frozen=True)
 class EncoderConfig:
@@ -34,17 +38,12 @@ class EncoderConfig:
     vocab_size: int
     max_positions: int
     mixing: MixingKind
-    n_token_types: int = 2
-    layer_norm_eps: float = 1e-12
 
     def __post_init__(self):
-        for field in ("n_layers", "d_model", "d_ff", "vocab_size", "max_positions",
-                      "n_token_types"):
+        for field in ("n_layers", "d_model", "d_ff", "vocab_size", "max_positions"):
             value = getattr(self, field)
             if not is_int(value) or value < 1:
                 raise ConfigError(f"EncoderConfig.{field} must be a positive integer")
-        if not is_real(self.layer_norm_eps) or self.layer_norm_eps <= 0:
-            raise ConfigError("EncoderConfig.layer_norm_eps must be a finite number > 0")
         try:
             object.__setattr__(self, "mixing", MixingKind(self.mixing))
         except ValueError:
@@ -85,7 +84,7 @@ def param_shapes(cfg: EncoderConfig, with_mlm_head=True) -> dict:
     shapes = {
         "embeddings.word": (cfg.vocab_size, d),
         "embeddings.position": (cfg.max_positions, d),
-        "embeddings.token_type": (cfg.n_token_types, d),
+        "embeddings.token_type": (N_TOKEN_TYPES, d),
         "embeddings.ln.gamma": (d,),
         "embeddings.ln.beta": (d,),
     }
@@ -141,10 +140,10 @@ def mix_tokens(x: Node, kind: MixingKind, tape: Tape | None) -> Node:
     return out
 
 
-def _add_norm(params, prefix, x: Node, y: Node, eps, tape: Tape | None) -> Node:
+def _add_norm(params, prefix, x: Node, y: Node, tape: Tape | None) -> Node:
     """The post-norm residual norm(x + y), with layer norm prefix's scale and shift."""
     return nn.layer_norm(nn.add(x, y, tape), params[f"{prefix}.gamma"], params[f"{prefix}.beta"],
-                         eps, tape)
+                         LAYER_NORM_EPS, tape)
 
 
 # Rows a tape-free forward runs through the row-wise sub-layers at a time, so
@@ -155,7 +154,7 @@ def _add_norm(params, prefix, x: Node, y: Node, eps, tape: Tape | None) -> Node:
 ROW_BLOCK = 128
 
 
-def _row_sublayers(params, prefix, norm, x: Node, y: Node, eps, tape: Tape | None) -> Node:
+def _row_sublayers(params, prefix, norm, x: Node, y: Node, tape: Tape | None) -> Node:
     """A block's tail after its token-mixing output y: u = norm(x + y), then ff_ln(u + FF(u)).
 
     Each row is computed alone, so without a tape it runs ROW_BLOCK rows at a
@@ -167,20 +166,19 @@ def _row_sublayers(params, prefix, norm, x: Node, y: Node, eps, tape: Tape | Non
         for start in range(0, len(out), ROW_BLOCK):
             rows = slice(start, start + ROW_BLOCK)
             out[rows] = _row_sublayers(params, prefix, norm, Node(x.value[rows]),
-                                       Node(y.value[rows]), eps, None).value
+                                       Node(y.value[rows]), None).value
         return Node(out)
-    u = _add_norm(params, f"{prefix}.{norm}", x, y, eps, tape)
+    u = _add_norm(params, f"{prefix}.{norm}", x, y, tape)
     h = nn.linear(u, params[f"{prefix}.ff.w1"], params[f"{prefix}.ff.b1"], tape)
     h = nn.gelu(h, tape)
     h = nn.linear(h, params[f"{prefix}.ff.w2"], params[f"{prefix}.ff.b2"], tape)
-    return _add_norm(params, f"{prefix}.ff_ln", u, h, eps, tape)
+    return _add_norm(params, f"{prefix}.ff_ln", u, h, tape)
 
 
-def encoder_forward(cfg, state, token_ids, type_ids=None, tape: Tape | None = None,
-                    rows=None) -> Node:
+def encoder_forward(cfg, state, token_ids, tape: Tape | None = None, rows=None) -> Node:
     """Hidden states [L, d_model] for one sequence of token ids, or [len(rows), d_model].
 
-    Embedding sum (word + position + token type) is normalized, then each
+    Embedding sum (word + position + token type 0) is normalized, then each
     block computes u = norm(x + mix(x)) and x' = norm(u + FF(u)). Only the
     mixing step reads across rows; the rest is _row_sublayers, which bounds
     its own tape-free memory. So when rows (indices into the sequence) is
@@ -195,21 +193,20 @@ def encoder_forward(cfg, state, token_ids, type_ids=None, tape: Tape | None = No
     L = token_ids.shape[0]
     if L > cfg.max_positions:
         raise ShapeError(f"sequence length {L} exceeds max_positions {cfg.max_positions}")
-    if type_ids is None:
-        type_ids = np.zeros(L, dtype=np.int64)
-    eps = cfg.layer_norm_eps
 
     # The lookups stay unnamed, so without a tape each is freed once summed.
     x = nn.add(nn.embedding_lookup(token_ids, state["embeddings.word"], tape),
                nn.embedding_lookup(np.arange(L), state["embeddings.position"], tape), tape)
-    x = nn.add(x, nn.embedding_lookup(type_ids, state["embeddings.token_type"], tape), tape)
-    x = nn.layer_norm(x, state["embeddings.ln.gamma"], state["embeddings.ln.beta"], eps, tape)
+    x = nn.add(x, nn.embedding_lookup(np.zeros(L, dtype=np.int64), state["embeddings.token_type"],
+                                      tape), tape)
+    x = nn.layer_norm(x, state["embeddings.ln.gamma"], state["embeddings.ln.beta"], LAYER_NORM_EPS,
+                      tape)
 
     for i in range(cfg.n_layers):
         y = mix_tokens(x, cfg.mixing, tape)
         if rows is not None and i == cfg.n_layers - 1:
             x, y = (nn.embedding_lookup(rows, n, tape) for n in (x, y))
-        x = _row_sublayers(state, f"layer{i}", "mixing_ln", x, y, eps, tape)
+        x = _row_sublayers(state, f"layer{i}", "mixing_ln", x, y, tape)
         del y  # so no block's mixing output outlives its tail
     return x
 
@@ -220,7 +217,7 @@ def mlm_logits(cfg, state, hidden: Node, tape: Tape | None = None) -> Node:
         raise CheckpointError("state was built without the masked-prediction head")
     h = nn.linear(hidden, state["mlm.dense.w"], state["mlm.dense.b"], tape)
     h = nn.gelu(h, tape)
-    h = nn.layer_norm(h, state["mlm.ln.gamma"], state["mlm.ln.beta"], cfg.layer_norm_eps, tape)
+    h = nn.layer_norm(h, state["mlm.ln.gamma"], state["mlm.ln.beta"], LAYER_NORM_EPS, tape)
     return nn.tied_logits(h, state["embeddings.word"], state["mlm.bias"], tape)
 
 

@@ -32,7 +32,7 @@ from .encoder import (
     init_encoder_state,
     state_from_arrays,
 )
-from .errors import ConfigError, ShapeError, is_int, is_real
+from .errors import ConfigError, ShapeError, is_int
 from .nn import Node, Tape
 from .rng import SplitRng
 
@@ -49,7 +49,6 @@ class DecoderConfig:
     n_heads: int = 12
     vocab_size: int = 32000
     max_positions: int = 512
-    layer_norm_eps: float = 1e-12
 
     def __post_init__(self):
         for field in ("n_layers", "d_model", "d_ff", "n_heads", "vocab_size",
@@ -61,8 +60,6 @@ class DecoderConfig:
             raise ConfigError(
                 f"DecoderConfig.d_model {self.d_model} not divisible by n_heads {self.n_heads}"
             )
-        if not is_real(self.layer_norm_eps) or self.layer_norm_eps <= 0:
-            raise ConfigError("DecoderConfig.layer_norm_eps must be a finite number > 0")
 
 
 @dataclass(frozen=True)
@@ -157,26 +154,40 @@ def _proj(decoder: dict, prefix: str, w: str, x: Node, tape: Tape | None) -> Nod
     return nn.linear(x, decoder[f"{prefix}.w{w}"], decoder[f"{prefix}.b{w}"], tape)
 
 
-def _decoder_stack(cfg: DecoderConfig, decoder: dict, ids, positions, attend_self,
-                   attend_cross, tape: Tape | None) -> Node:
+def _kv(decoder: dict, prefix: str, source: Node, tape: Tape | None) -> tuple:
+    """Keys and values of attention sub-layer prefix over source."""
+    return tuple(_proj(decoder, prefix, w, source, tape) for w in "kv")
+
+
+def _decoder_stack(cfg: DecoderConfig, decoder: dict, ids, positions, self_kv, cross_kv,
+                   causal: bool, tape: Tape | None) -> Node:
     """Vocabulary logits from the decoder's sub-layers, in their one fixed order.
 
     Embeddings of ids at positions, then per layer self-attention, cross-
     attention and feed-forward, each added to its input and normalized, then
     the tied output projection. Cross-attention and feed-forward are the
     encoder block's row-wise tail, with cross-attention as its mixing
-    sub-layer. attend_self(i, x) and attend_cross(i, u) return layer i's
-    attention outputs, so the caller decides where keys and values come from.
+    sub-layer. Each attention sub-layer projects its queries, takes its keys
+    and values from the caller, attends (self-attention causally when causal
+    is set) and projects its output. self_kv(i, x) and cross_kv(i) return
+    layer i's keys and values, so the caller decides where they come from.
     """
-    eps = cfg.layer_norm_eps
     word = nn.embedding_lookup(ids, decoder["decoder.embeddings.word"], tape)
     pos = nn.embedding_lookup(positions, decoder["decoder.embeddings.position"], tape)
-    x = _add_norm(decoder, "decoder.embeddings.ln", word, pos, eps, tape)
+    x = _add_norm(decoder, "decoder.embeddings.ln", word, pos, tape)
+
+    def attend(prefix, x, mask, kv, *kv_args):
+        # queries before keys and values kv(*kv_args): tape order fixes the gradient's rounding
+        q = _proj(decoder, prefix, "q", x, tape)
+        ctx = nn.multi_head_attention(q, *kv(*kv_args), cfg.n_heads, tape, mask)
+        return _proj(decoder, prefix, "o", ctx, tape)
 
     for i in range(cfg.n_layers):
         prefix = f"decoder.layer{i}"
-        u = _add_norm(decoder, f"{prefix}.self_ln", x, attend_self(i, x), eps, tape)
-        x = _row_sublayers(decoder, prefix, "cross_ln", u, attend_cross(i, u), eps, tape)
+        u = _add_norm(decoder, f"{prefix}.self_ln", x,
+                      attend(f"{prefix}.self_attn", x, causal, self_kv, i, x), tape)
+        x = _row_sublayers(decoder, prefix, "cross_ln", u,
+                           attend(f"{prefix}.cross_attn", u, False, cross_kv, i), tape)
 
     return nn.tied_logits(x, decoder["decoder.embeddings.word"], decoder["decoder.output_bias"], tape)
 
@@ -195,18 +206,10 @@ def decoder_forward(cfg: DecoderConfig, decoder: dict, target_ids, encoder_out: 
             f"encoder output shape {encoder_out.value.shape} incompatible with d_model {cfg.d_model}"
         )
 
-    def attend(prefix, x, source, causal):
-        q, k, v = (_proj(decoder, prefix, w, y, tape) for w, y in zip("qkv", (x, source, source)))
-        ctx = nn.multi_head_attention(q, k, v, cfg.n_heads, tape, causal)
-        return _proj(decoder, prefix, "o", ctx, tape)
-
-    def attend_self(i, x):
-        return attend(f"decoder.layer{i}.self_attn", x, x, True)
-
-    def attend_cross(i, u):
-        return attend(f"decoder.layer{i}.cross_attn", u, encoder_out, False)
-
-    return _decoder_stack(cfg, decoder, target_ids, np.arange(L), attend_self, attend_cross, tape)
+    return _decoder_stack(
+        cfg, decoder, target_ids, np.arange(L),
+        lambda i, x: _kv(decoder, f"decoder.layer{i}.self_attn", x, tape),
+        lambda i: _kv(decoder, f"decoder.layer{i}.cross_attn", encoder_out, tape), True, tape)
 
 
 def seq2seq_loss(state: Seq2SeqState, source_ids, target_ids, tape: Tape | None = None) -> Node:
@@ -240,35 +243,27 @@ def _ban_repeats(logp: np.ndarray, tokens: np.ndarray, n: int) -> None:
 
 def _decoder_step(cfg: DecoderConfig, decoder: dict, tokens, t: int, cross_kv: list,
                   cache: np.ndarray) -> np.ndarray:
-    """Logits [B, V] at position t of B hypotheses, in one decoder pass.
+    """Logits [B, V] at position t of B hypotheses, in one tape-free _decoder_stack pass.
 
-    tokens [B] holds each hypothesis's newest token. Layer i attends over the
-    encoder's projected keys and values cross_kv[i], two Nodes of shape
-    [L_src, d_model] that every hypothesis shares, and over its own keys and
-    values cache[i, :, :B, :t + 1]. cache is [n_layers, 2, beam, max_len,
-    d_model] and already holds positions before t; this step writes position
-    t into it. Row b equals the last row of decoder_forward on hypothesis b's
-    whole prefix, up to rounding.
+    tokens [B] holds each hypothesis's newest token. The stack runs without a
+    causal mask, since each row is one query over its own prefix. Layer i's
+    cross-attention keys and values are cross_kv[i], two Nodes of shape
+    [L_src, d_model] that every hypothesis shares. Its self-attention keys
+    and values come from self_kv, which writes position t's projections into
+    cache [n_layers, 2, beam, max_len, d_model], where positions before t
+    already are, and returns the views cache[i, :, :B, :t + 1]. Row b equals
+    the last row of decoder_forward on hypothesis b's whole prefix, up to
+    rounding.
     """
     n = len(tokens)
 
-    def attend_self(i, x):
-        prefix = f"decoder.layer{i}.self_attn"
-        for kv, w in zip(cache[i], "kv"):
-            kv[:n, t] = _proj(decoder, prefix, w, x, None).value
-        k, v = (Node(kv[:n, :t + 1]) for kv in cache[i])
-        q = _proj(decoder, prefix, "q", x, None)
-        ctx = nn.multi_head_attention(q, k, v, cfg.n_heads, None)
-        return _proj(decoder, prefix, "o", ctx, None)
+    def self_kv(i, x):
+        for kv, new in zip(cache[i], _kv(decoder, f"decoder.layer{i}.self_attn", x, None)):
+            kv[:n, t] = new.value
+        return tuple(Node(kv[:n, :t + 1]) for kv in cache[i])
 
-    def attend_cross(i, u):
-        prefix = f"decoder.layer{i}.cross_attn"
-        ctx = nn.multi_head_attention(_proj(decoder, prefix, "q", u, None), *cross_kv[i],
-                                      cfg.n_heads, None)
-        return _proj(decoder, prefix, "o", ctx, None)
-
-    return _decoder_stack(cfg, decoder, tokens, np.full(n, t), attend_self, attend_cross,
-                          None).value
+    return _decoder_stack(cfg, decoder, tokens, np.full(n, t), self_kv, cross_kv.__getitem__,
+                          False, None).value
 
 
 def generate(state: Seq2SeqState, source_ids, gen: GenerationConfig) -> list:
@@ -291,8 +286,7 @@ def generate(state: Seq2SeqState, source_ids, gen: GenerationConfig) -> list:
     source_ids = np.asarray(source_ids, dtype=np.int64)[: gen.max_input_len]
     hidden = encoder_forward(state.encoder_cfg, state.encoder, source_ids)
     cfg, decoder = state.decoder_cfg, state.decoder
-    cross_kv = [tuple(_proj(decoder, f"decoder.layer{i}.cross_attn", w, hidden, None)
-                      for w in "kv")
+    cross_kv = [_kv(decoder, f"decoder.layer{i}.cross_attn", hidden, None)
                 for i in range(cfg.n_layers)]
     # bos occupies one decoder position, so content length is capped below it.
     max_len = min(gen.max_target_len, cfg.max_positions - 1)

@@ -162,6 +162,15 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="name"):
             load_checkpoint(path)
 
+    def test_duplicate_name_rejected(self, tmp_path):
+        entry = entry_body(b"x", (1,)) + b"\x00" * 8
+        # the config and entry count (10 bytes), then the same entry twice under a count of 2
+        body = entry[:6] + struct.pack("<I", 2) + entry[10:] * 2
+        path = tmp_path / "m.spmx"
+        path.write_bytes(with_crc(body))
+        with pytest.raises(CheckpointError, match="duplicate parameter name x"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("config", [5, [1, 2], "text", None])
     def test_non_object_config_rejected(self, tmp_path, config):
         path = tmp_path / "m.spmx"

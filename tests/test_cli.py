@@ -189,6 +189,22 @@ class TestTrainMlm:
         assert main(["train-mlm", "--config", str(cfg)]) == 1
         assert "no such file" in capsys.readouterr().err
 
+    def test_config_without_corpus_path_fails(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "m.json", steps=2, seed=0,
+                           paths={"checkpoint_out": str(tmp_path / "m.spmx")})
+        assert main(["train-mlm", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: train-mlm requires paths.corpus in the config"]
+
+    def test_encoder_without_n_layers_fails(self, workdir, tmp_path, capsys):
+        encoder = {key: value for key, value in ENCODER_DICT.items() if key != "n_layers"}
+        cfg = write_config(tmp_path / "m.json", steps=2, seed=0, encoder=encoder,
+                           paths={"corpus": str(workdir.corpus),
+                                  "checkpoint_out": str(tmp_path / "m.spmx")})
+        assert main(["train-mlm", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: model.encoder: missing key(s): n_layers"]
+
     def test_negative_seed_flag_is_named(self, workdir, tmp_path, capsys):
         out = tmp_path / "m.spmx"
         assert main(["train-mlm", "--config", str(workdir.config), "--seed", "-1",
@@ -219,6 +235,7 @@ MISTYPED_CONFIG = [
     ("training.schedule", [[None, True]], "training.schedule"),
     ("training.schedule", [[None, "4"]], "batch_size"),
     ("training.schedule", [[2.5, 4], [None, 4]], "until_step"),
+    ("training.schedule", [[None]], "training.schedule entries must be [until, batch] pairs"),
     ("training.patience", 1.5, "training.patience"),
     ("training.optimizer.warmup_steps", "5", "AdamW.warmup_steps"),
     ("training.optimizer.base_lr", "0.001", "AdamW.base_lr"),
@@ -231,10 +248,12 @@ MISTYPED_CONFIG = [
     ("model.encoder.n_layers", 1.5, "EncoderConfig.n_layers"),
     ("model.encoder.d_model", 8.0, "EncoderConfig.d_model"),
     ("model.encoder.max_positions", True, "EncoderConfig.max_positions"),
-    ("model.encoder.layer_norm_eps", float("nan"), "EncoderConfig.layer_norm_eps"),
-    ("model.decoder.layer_norm_eps", float("nan"), "DecoderConfig.layer_norm_eps"),
+    ("model.encoder.layer_norm_eps", float("nan"), "EncoderConfig): unknown key(s): layer_norm_eps"),
+    ("model.decoder.layer_norm_eps", float("nan"), "DecoderConfig): unknown key(s): layer_norm_eps"),
+    ("model.encoder.n_token_types", 2, "EncoderConfig): unknown key(s): n_token_types"),
     ("model.decoder.n_heads", "2", "DecoderConfig.n_heads"),
     ("model.generation.beam_size", 2.5, "GenerationConfig.beam_size"),
+    ("model.generation.eos_id", 1.5, "GenerationConfig.eos_id"),
     ("training.batch_size", 16, "batch_size"),
     ("model.generation.bos_id", 77, "bos_id"),
     ("training.masking.random_frac", 0.5, "MaskingPolicy"),
@@ -274,11 +293,14 @@ def test_mistyped_config_integer_is_one_error_line(key, value, names, tmp_path, 
 
 
 def test_unallocatable_model_is_one_error_line(tmp_path, capsys):
-    """A 10**13-row position table is 1.14 PiB, past the address space: it fails at once."""
+    """A 10**13-row word table is 1.14 PiB, past the address space: it fails at once.
+
+    The corpus fills one 32-token slice, so the input check passes first.
+    """
     corpus = tmp_path / "corpus.jsonl"
-    write_jsonl(corpus, [{"text": "abc abc abc"}])
+    write_jsonl(corpus, [{"text": "abc abc abc " * 3}])
     config = write_config(tmp_path / "cfg.json", steps=1, seed=0,
-                          encoder={**ENCODER_DICT, "max_positions": 10**13},
+                          encoder={**ENCODER_DICT, "vocab_size": 10**13},
                           paths={"corpus": str(corpus),
                                  "checkpoint_out": str(tmp_path / "out.spmx")})
     assert main(["train-mlm", "--config", str(config)]) == 1
@@ -322,6 +344,40 @@ def test_corpus_id_beyond_the_vocabulary_is_one_error_line(command, vocab_size, 
     assert capsys.readouterr().err.splitlines() == [
         f"error: {corpus}: corpus id 121 needs model.encoder.vocab_size >= 122, "
         f"got {vocab_size}"]
+    assert not (tmp_path / "out.spmx").exists()
+
+
+def no_model(*args, **kwargs):
+    raise AssertionError("a model was built before the input check")
+
+
+@pytest.mark.parametrize("command, key, text, message", [
+    ("train-mlm", "corpus", '{"text": "abcdefghij"}\n',
+     "10 tokens fill no slice of model.encoder.max_positions 64"),
+    ("train-mlm", "corpus", "", "0 tokens fill no slice of model.encoder.max_positions 64"),
+    ("finetune", "pairs", "", "no pairs"),
+    ("finetune", "val_pairs", "", "no pairs"),
+], ids=["short-corpus", "empty-corpus", "empty-pairs", "empty-val-pairs"])
+def test_input_with_nothing_to_train_on_names_its_file(command, key, text, message, tmp_path,
+                                                       capsys, monkeypatch):
+    """An input that yields no training example is refused before any model is built."""
+    monkeypatch.setattr(cli, "init_encoder_state", no_model)
+    monkeypatch.setattr(cli, "init_seq2seq_state", no_model)
+    bad, good = tmp_path / "bad.jsonl", tmp_path / "good.jsonl"
+    bad.write_text(text, encoding="utf-8")
+    write_jsonl(good, [{"source": "ab", "target": "ab"}])
+    model = {"encoder": dict(ENCODER_DICT, max_positions=64)}
+    training = {"steps": 1, "seed": 0}
+    paths = {key: str(bad), "checkpoint_out": str(tmp_path / "out.spmx")}
+    if command == "finetune":
+        model["decoder"] = {"n_layers": 1, "d_model": 16, "d_ff": 32, "n_heads": 2,
+                            "vocab_size": 261, "max_positions": 16}
+        training["patience"] = 2
+        paths = {"pairs": str(good), "val_pairs": str(good), **paths}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": model, "training": training, "paths": paths}))
+    assert main([command, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {bad}: {message}"]
     assert not (tmp_path / "out.spmx").exists()
 
 
@@ -424,6 +480,14 @@ class TestResume:
         )
         assert main(["resume", "--config", str(cfg)]) == 1
         assert "checksum" in capsys.readouterr().err
+
+    def test_seq2seq_checkpoint_refused(self, workdir, seq2seq_run, tmp_path, capsys):
+        cfg = self.resume_config(workdir, tmp_path, checkpoint_in=str(seq2seq_run.checkpoint))
+        assert main(["resume", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {seq2seq_run.checkpoint} is a sequence-to-sequence checkpoint, "
+            "not an encoder pretraining checkpoint"]
+        assert not (tmp_path / "resumed.spmx").exists()
 
     def test_non_object_config_refused(self, workdir, tmp_path, capsys):
         odd = tmp_path / "odd.spmx"
@@ -564,6 +628,19 @@ class TestFinetuneAndGenerate:
         assert not (tmp_path / "g.jsonl").exists()
 
 
+    def test_empty_source_is_one_error_line(self, seq2seq_run, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_load_seq2seq_checkpoint", no_model)
+        sources = tmp_path / "sources.jsonl"
+        write_jsonl(sources, [{"source": "abcd"}, {"source": ""}])
+        data = json.loads(seq2seq_run.gen_config.read_text())
+        data["paths"].update(sources=str(sources), output=str(tmp_path / "g.jsonl"))
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["generate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {sources}:2: empty source"]
+        assert not (tmp_path / "g.jsonl").exists()
+
+
 class TestFinetuneWarmStart:
     def test_encoder_initialized_from_pretrained(self, workdir, tmp_path, capsys):
         pairs = tmp_path / "pairs.jsonl"
@@ -660,7 +737,9 @@ class TestFinetuneTrainingKeys:
         ([[None, 2]], {"masking": {"mask_prob": 0.3}}, "training.masking"),
         ([[None, 2]], {"extra_paths": ("val_pairs",)}, "paths.val_pairs"),
     ])
-    def test_ignored_key_is_one_error_line(self, schedule, extra, names, tmp_path, capsys):
+    def test_ignored_key_is_one_error_line(self, schedule, extra, names, tmp_path, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr(cli, "init_seq2seq_state", no_model)
         assert self.run(tmp_path, schedule, **extra) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -753,15 +832,15 @@ class TestCheckpointHeaders:
 
         assert digest(["train-mlm"], {"encoder": encoder}, {"corpus": str(corpus)},
                       enc_ckpt) == (
-            "17e45493696da3832ff8597e95f6ab3599febbd1df3898430089b9c29568fb32")
+            "106f627fafb3eabc48e805d35b0439b60d333999ce1ad631c56f0988c807049e")
         assert digest(["resume", "--mixing", "hartley"], {"encoder": encoder},
                       {"corpus": str(corpus), "checkpoint_in": str(enc_ckpt)},
                       tmp_path / "resumed.spmx") == (
-            "a49e30d31e1cbd5c14345ed9255242bfbef4d75a9aae1da0b7a9f12c82a62185")
+            "767c56162d465aeaf7df7a2efef9faae45b744ede6c22cbda4af4e53222e3315")
         assert digest(["finetune"], {"encoder": encoder, "decoder": decoder},
                       {"pairs": str(pairs), "checkpoint_in": str(enc_ckpt)},
                       tmp_path / "s2s.spmx") == (
-            "d83a9182427df0478f8a5617c117f4139dfd3c8b17aadf60c69636ed19aeced8")
+            "96d5368b896df8abf56a3e55404555ec6657406e356e8e9f9df156da1ea220f9")
 
 
 class TestEvaluate:
@@ -787,6 +866,22 @@ class TestEvaluate:
     def test_requires_input(self, capsys):
         assert main(["evaluate", "--metric", "rouge"]) == 1
         assert "--input" in capsys.readouterr().err
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        path = tmp_path / "absent.jsonl"
+        assert main(["evaluate", "--metric", "rouge", "--input", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: --input: no such file: {path}"]
+
+    @pytest.mark.parametrize("metric, name, text, message", [
+        ("rouge", "empty.jsonl", "", "no evaluation pairs"),
+        ("relative-performance", "header.csv", "task,candidate,reference\n", "no metric rows"),
+    ])
+    def test_input_without_rows_is_one_error_line(self, metric, name, text, message, tmp_path,
+                                                  capsys):
+        path = tmp_path / name
+        path.write_text(text)
+        assert main(["evaluate", "--metric", metric, "--input", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {path}: {message}"]
 
     def test_bad_csv_header(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

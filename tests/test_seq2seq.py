@@ -399,6 +399,15 @@ class TestGenerate:
         gen = GenerationConfig(max_target_len=6, no_repeat_ngram=0, beam_size=1)
         assert generate(state, [5, 6], gen) == []
 
+    def test_stops_when_the_ngram_ban_leaves_no_candidate(self):
+        """Banning repeated unigrams, a vocabulary of 8 runs out after its 7 non-bos ids."""
+        dec = DecoderConfig(n_layers=1, d_model=4, d_ff=8, n_heads=2, vocab_size=8,
+                            max_positions=32)
+        state = init_seq2seq_state(ENC, dec, SplitRng(0))
+        gen = GenerationConfig(max_target_len=20, no_repeat_ngram=1, beam_size=2,
+                               eos_id=dec.vocab_size)
+        assert sorted(generate(state, [5, 6, 1], gen)) == [0, 1, 3, 4, 5, 6, 7]
+
     def test_deterministic(self):
         state = make_state(9)
         gen = GenerationConfig(max_target_len=8, no_repeat_ngram=2, beam_size=2)

@@ -229,6 +229,10 @@ class TestBatchSchedule:
         assert sched.batch_at(99) == 2
         assert sched.batch_at(100) == 4
 
+    def test_bounded_last_phase_keeps_its_batch(self):
+        sched = BatchSchedule([(2, 1), (5, 3)])
+        assert [sched.batch_at(step) for step in (1, 4, 5, 9)] == [1, 3, 3, 3]
+
     def test_strictly_increasing_required(self):
         with pytest.raises(ConfigError):
             BatchSchedule([(100, 2), (100, 4), (None, 8)])
