@@ -17,7 +17,10 @@ training step at each length in MEMORY_LENGTHS: Hartley mixing, 2 layers,
 d_model 768, d_ff 3072, byte vocabulary. Its ``base_width`` block holds the
 same peaks for BASE_MODEL (``base_encoder_config``'s widths and 32000-token
 vocabulary) at each depth in BASE_LAYERS and length in BASE_LENGTHS, where
-the masked-token head's share of a step shows. Its ``seq2seq`` block holds
+the masked-token head's share of a step shows. Its ``mlm_batch_step``
+block holds the peak of a whole ``train_mlm`` step, AdamW included, of a
+1-layer BASE_MODEL on BATCH_SHAPE slices: the memory of the tapes a step's
+slices share. Its ``seq2seq`` block holds
 the peaks of one ``seq2seq_loss`` step of the hybrid model: a 1-layer
 BASE_MODEL encoder and the default DecoderConfig (HYBRID_DECODER, whose
 widths are BASE_MODEL's) on HYBRID_LENGTHS source and target tokens. Each
@@ -55,6 +58,7 @@ MEMORY_MODEL = {"n_layers": 2, "d_model": 768, "d_ff": 3072}
 BASE_MODEL = {"d_model": 768, "d_ff": 3072, "vocab_size": 32000}
 BASE_LAYERS = (1, 2)
 BASE_LENGTHS = (1024, 2048)
+BATCH_SHAPE = (8, 128)  # slices x tokens of the mlm_batch_step probe
 HYBRID_DECODER = {"n_layers": 6, "n_heads": 12}
 HYBRID_LENGTHS = (4096, 256)
 DECODE_ENCODER = {"n_layers": 1, "d_model": 256, "d_ff": 1024, "vocab_size": 261}  # byte vocab
@@ -123,6 +127,36 @@ def mlm_step_peaks(model: dict, seq_len: int) -> dict:
     ids = rng.integers(sm.ByteTokenizer.n_specials, cfg.vocab_size, size=seq_len)
     inputs, labels = sm.apply_mlm_mask(ids, sm.MaskingPolicy(), rng, vocab_size=cfg.vocab_size)
     return _step_peaks(lambda tape: sm.mlm_loss(cfg, state, inputs, labels, tape))
+
+
+def mlm_batch_step_peaks(model: dict, seq_len: int, batch: int) -> dict:
+    """Traced peak MiB of a train_mlm step on batch slices of seq_len tokens, AdamW included.
+
+    model is as for mlm_step_peaks. Two one-step train_mlm calls share one
+    AdamW; only the second is traced, since the first allocates the
+    optimizer's moments and sets up the transforms. The step runs its slices
+    on shared tapes as train_mlm groups them. Imports specmix as
+    mlm_step_peaks does.
+    """
+    import tracemalloc
+
+    import specmix as sm
+
+    cfg = sm.EncoderConfig(**{"vocab_size": sm.ByteTokenizer.vocab_size, **model},
+                           max_positions=seq_len, mixing=sm.MixingKind.HARTLEY)
+    state = sm.init_encoder_state(cfg, sm.SplitRng(SEEDS[0]))
+    dataset = sm.SplitRng(SEEDS[0]).split(1).integers(sm.ByteTokenizer.n_specials,
+                                                      cfg.vocab_size, size=(batch, seq_len))
+    schedule = sm.BatchSchedule([(None, batch)])
+    opt = sm.AdamW(base_lr=1e-4, warmup_steps=0)
+    sm.train_mlm(cfg, state, dataset, schedule, 1, seed=SEEDS[0], optimizer=opt)
+    tracemalloc.start()
+    try:
+        sm.train_mlm(cfg, state, dataset, schedule, 1, seed=SEEDS[1], optimizer=opt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return {"step_peak_mib": peak / 2**20}
 
 
 def seq2seq_step_peaks(model: dict, decoder: dict, src_len: int, tgt_len: int) -> dict:
@@ -203,6 +237,11 @@ def training_memory(checkout: Path) -> dict:
                                                        {**BASE_MODEL, "n_layers": depth}, n)
                                         for n in BASE_LENGTHS}
                            for depth in BASE_LAYERS}},
+            "mlm_batch_step": {
+                "model": {**hybrid, "mixing": "hartley"}, "seq_len": BATCH_SHAPE[1],
+                "batch": BATCH_SHAPE[0], "optimizer": "AdamW",
+                **_probe(checkout, "mlm_batch_step_peaks", hybrid, BATCH_SHAPE[1],
+                         BATCH_SHAPE[0])},
             "seq2seq": {
                 "encoder": {**hybrid, "mixing": "hartley"}, "decoder": HYBRID_DECODER,
                 "source_length": src_len, "target_length": tgt_len,

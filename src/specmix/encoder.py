@@ -132,11 +132,19 @@ def init_encoder_state(cfg: EncoderConfig, rng: SplitRng, with_mlm_head=True) ->
     return EncoderState(nn.init_params(param_shapes(cfg, with_mlm_head), rng))
 
 
-def mix_tokens(x: Node, kind: MixingKind, tape: Tape | None) -> Node:
-    """The parameter-free mixing sub-layer as a taped op over [L, H] activations."""
-    out = Node(mix2d(x.value, kind))
-    cot, xv = x.cot, (None if kind.is_linear else x.value)  # linear kinds' VJP never reads x
-    nn._record(tape, out, lambda g: cot.add(mix2d_vjp(kind, xv, g)))
+def mix_tokens(x: Node, kind: MixingKind, tape: Tape | None, lead=None) -> Node:
+    """The parameter-free mixing sub-layer as a taped op over [L, H] activations.
+
+    lead, when given, is the ids' shape (L,) or (B, L): x then holds B
+    slices' rows in row-major order, and each slice's L rows mix on their own.
+    """
+    shape = x.value.shape if lead is None else (*lead, x.value.shape[-1])
+    out = Node(mix2d(x.value.reshape(shape), kind).reshape(x.value.shape))
+    cot, xv = x.cot, (None if kind.is_linear else x.value.reshape(shape))  # linear VJPs skip x
+
+    def backward(g):
+        cot.add(mix2d_vjp(kind, xv, g.reshape(shape)).reshape(g.shape))
+    nn._record(tape, out, backward)
     return out
 
 
@@ -176,34 +184,40 @@ def _row_sublayers(params, prefix, norm, x: Node, y: Node, tape: Tape | None) ->
 
 
 def encoder_forward(cfg, state, token_ids, tape: Tape | None = None, rows=None) -> Node:
-    """Hidden states [L, d_model] for one sequence of token ids, or [len(rows), d_model].
+    """Hidden states [L, d_model] for token ids [L], [B·L, d_model] for a batch [B, L] of
+    equal-length slices, or [len(rows), d_model].
 
     Embedding sum (word + position + token type 0) is normalized, then each
-    block computes u = norm(x + mix(x)) and x' = norm(u + FF(u)). Only the
-    mixing step reads across rows; the rest is _row_sublayers, which bounds
-    its own tape-free memory. So when rows (indices into the sequence) is
+    block computes u = norm(x + mix(x)) and x' = norm(u + FF(u)). A batch's
+    hidden state is its B·L rows in row-major order. Only the mixing step
+    reads across rows, and it mixes each slice's L rows on their own, so each
+    slice's rows are its own forward's (up to how BLAS rounds a row of a
+    product of very few rows). The rest is _row_sublayers, which bounds its
+    own tape-free memory. So when rows (indices into those B·L rows) is
     given, every block but the last and the last block's mixing still run on
-    all L rows, and the last block's tail runs on x and mix(x) gathered at
-    rows by a taped row lookup: the output is those rows of the full output,
-    equal to it up to rounding.
+    all rows, and the last block's tail runs on x and mix(x) gathered at rows
+    by a taped row lookup: the output is those rows of the full output, equal
+    to it up to rounding.
     """
     token_ids = np.asarray(token_ids, dtype=np.int64)
-    if token_ids.ndim != 1:
-        raise ShapeError(f"token_ids must be 1-D, got shape {token_ids.shape}")
-    L = token_ids.shape[0]
+    if token_ids.ndim not in (1, 2):
+        raise ShapeError(f"token_ids must be [L] or [B, L], got shape {token_ids.shape}")
+    L = token_ids.shape[-1]
     if L > cfg.max_positions:
         raise ShapeError(f"sequence length {L} exceeds max_positions {cfg.max_positions}")
+    ids = token_ids.reshape(-1)
+    positions = np.broadcast_to(np.arange(L), token_ids.shape).reshape(-1)
 
     # The lookups stay unnamed, so without a tape each is freed once summed.
-    x = nn.add(nn.embedding_lookup(token_ids, state["embeddings.word"], tape),
-               nn.embedding_lookup(np.arange(L), state["embeddings.position"], tape), tape)
-    x = nn.add(x, nn.embedding_lookup(np.zeros(L, dtype=np.int64), state["embeddings.token_type"],
-                                      tape), tape)
+    x = nn.add(nn.embedding_lookup(ids, state["embeddings.word"], tape),
+               nn.embedding_lookup(positions, state["embeddings.position"], tape), tape)
+    x = nn.add(x, nn.embedding_lookup(np.zeros(len(ids), dtype=np.int64),
+                                      state["embeddings.token_type"], tape), tape)
     x = nn.layer_norm(x, state["embeddings.ln.gamma"], state["embeddings.ln.beta"], LAYER_NORM_EPS,
                       tape)
 
     for i in range(cfg.n_layers):
-        y = mix_tokens(x, cfg.mixing, tape)
+        y = mix_tokens(x, cfg.mixing, tape, token_ids.shape)
         if rows is not None and i == cfg.n_layers - 1:
             x, y = (nn.embedding_lookup(rows, n, tape) for n in (x, y))
         x = _row_sublayers(state, f"layer{i}", "mixing_ln", x, y, tape)
@@ -222,15 +236,17 @@ def mlm_logits(cfg, state, hidden: Node, tape: Tape | None = None) -> Node:
 
 
 def mlm_loss(cfg, state, token_ids, labels, tape: Tape | None = None) -> Node:
-    """Masked-token loss of one sequence, its last block's tail and the head on labeled rows only.
+    """Masked-token loss of a sequence [L], or the sum of the B slices' losses of a batch
+    [B, L]; the last block's tail and the head run on labeled rows only.
 
     Only rows whose label is not IGNORE_LABEL feed the loss, so
     encoder_forward runs the last block's row-wise tail on those rows alone
-    (its mixing still reads all L rows) and mlm_logits runs on its output:
-    about 15% of the rows at the default masking rate. The loss equals
-    masked_cross_entropy over the all-rows head's logits of the full
-    forward, and gradients differ from that only in rounding. With no
-    labeled row the loss is exactly 0 and no gradient flows.
+    (its mixing still reads all L rows of their slice) and mlm_logits runs on
+    its output: about 15% of the rows at the default masking rate. Each
+    slice's loss is the mean over its own labeled rows, and equals
+    masked_cross_entropy over the all-rows head's logits of its full
+    forward; gradients differ from that only in rounding. A slice with no
+    labeled row adds exactly 0, and with none at all no gradient flows.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != np.shape(token_ids):
@@ -238,7 +254,8 @@ def mlm_loss(cfg, state, token_ids, labels, tape: Tape | None = None) -> Node:
                          f"{np.shape(token_ids)}")
     rows = np.flatnonzero(labels != nn.IGNORE_LABEL)
     hidden = encoder_forward(cfg, state, token_ids, tape=tape, rows=rows)
-    return nn.masked_cross_entropy(mlm_logits(cfg, state, hidden, tape), labels[rows], tape)
+    return nn.masked_cross_entropy(mlm_logits(cfg, state, hidden, tape),
+                                   labels.reshape(-1)[rows], tape, rows // labels.shape[-1])
 
 
 # The JSON form of an EncoderConfig, as run configs and checkpoint headers store it.

@@ -351,36 +351,48 @@ def tied_logits(x: Node, emb: Node, bias: Node, tape: Tape | None) -> Node:
     return out
 
 
-def masked_cross_entropy(logits: Node, labels, tape: Tape | None) -> Node:
-    """Mean of -log softmax(logits)[label] over positions whose label is not -1.
+def masked_cross_entropy(logits: Node, labels, tape: Tape | None, examples=None) -> Node:
+    """Sum over examples of the mean -log softmax(logits)[label] over the example's
+    positions whose label is not -1.
 
-    With every position ignored the loss is exactly 0 with zero gradient.
+    examples holds each position's example index, labels' shape; without it
+    every position belongs to one example and the loss is that one mean. Each
+    labeled position is divided by its own example's labeled count, so an
+    example with no labeled position adds exactly 0, and with every position
+    ignored the loss is exactly 0 with zero gradient.
     """
     labels = np.asarray(labels, dtype=np.int64)
     v = logits.value
     if labels.shape != v.shape[:-1]:
         raise ShapeError(f"labels shape {labels.shape} does not match logits {v.shape}")
+    examples = np.zeros(labels.shape, np.int64) if examples is None else np.asarray(examples)
+    if examples.shape != labels.shape or (examples < 0).any():
+        raise ShapeError(f"examples must be indices >= 0 of labels' shape {labels.shape}, "
+                         f"got shape {examples.shape}")
     vocab = v.shape[-1]
     if ((labels < IGNORE_LABEL) | (labels >= vocab)).any():
         raise ShapeError(f"labels must be -1 or in [0, {vocab})")
-    active = labels != IGNORE_LABEL
-    n_active = int(active.sum())
-    if n_active == 0:
+    flat_labels = labels.reshape(-1)
+    rows = np.flatnonzero(flat_labels != IGNORE_LABEL)
+    if len(rows) == 0:
         out = Node(0.0)
         return out
     flat_logp = log_softmax_rows(v).reshape(-1, vocab)
-    flat_labels = labels.reshape(-1)
-    flat_active = active.reshape(-1)
-    rows = np.nonzero(flat_active)[0]
-    loss = float(-flat_logp[rows, flat_labels[rows]].sum() / n_active)
-    out = Node(loss)
+    picked = flat_logp[rows, flat_labels[rows]]
+    owner = examples.reshape(-1)[rows]
+    counts = np.bincount(owner)
+    loss = 0.0
+    for b in np.flatnonzero(counts):  # each example's mean, in example order
+        loss -= picked[owner == b].sum() / counts[b]
+    out = Node(float(loss))
     logits_cot, shape = logits.cot, v.shape
 
     def backward(g):
         d = np.exp(flat_logp)
         d[rows, flat_labels[rows]] -= 1.0
-        d[~flat_active] = 0.0
-        d *= float(g) / n_active
+        scale = np.zeros(len(d))  # ignored positions get no gradient
+        scale[rows] = float(g) / counts[owner]
+        d *= scale[:, None]
         logits_cot.add(d.reshape(shape))
     _record(tape, out, backward)
     return out

@@ -104,14 +104,16 @@ def fht(x) -> np.ndarray:
 
 
 def _check_matrix(x: np.ndarray) -> None:
-    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] < 1:
-        raise ShapeError(f"mixing expects a non-empty 2D matrix, got shape {x.shape}")
+    if x.ndim < 2 or x.shape[-2] < 1 or x.shape[-1] < 1:
+        raise ShapeError(f"mixing expects [..., L, H] with L, H >= 1, got shape {x.shape}")
 
 
 def mix2d(x, kind: MixingKind) -> np.ndarray:
     """Parameter-free token mixing: real projection of the 2D spectrum of x.
 
-    x is (sequence length, hidden dim) real; the result has the same shape.
+    x is real (sequence length, hidden dim), or a batch [..., L, H] of such
+    matrices, each mixed on its own over its last two axes (``fft2``'s
+    default axes); the result has x's shape.
     """
     x = np.asarray(x, dtype=np.float64)
     _check_matrix(x)
@@ -132,7 +134,7 @@ def mix2d(x, kind: MixingKind) -> np.ndarray:
 
 
 def mix2d_vjp(kind: MixingKind, x, grad_out) -> np.ndarray:
-    """Vector-Jacobian product of :func:`mix2d` at x applied to grad_out.
+    """Vector-Jacobian product of :func:`mix2d` at x applied to grad_out, batched as mix2d is.
 
     The linear kinds have kernels cos/cas/-sin of 2*pi*(n*k/L + m*h/H), which
     are symmetric under swapping input and output indices, so their VJP is the

@@ -109,12 +109,19 @@ def apply_mlm_mask(slice_ids, policy: MaskingPolicy, rng,
     return inputs, labels
 
 
+# Elements per chunk of a parameter that AdamW updates at a time: its
+# temporaries stay 16 MiB each whatever the parameter's size.
+CHUNK_ELEMS = 2**21
+
+
 class AdamW:
     """Decoupled-weight-decay Adam with linear warmup to a constant rate.
 
     Moments live per parameter name; they are not persisted in checkpoints,
-    so a resumed run restarts them from zero. The constructor's arguments are
-    the keys of a run config's training.optimizer section, checked here.
+    so a resumed run restarts them from zero. The update is elementwise, so
+    it runs over CHUNK_ELEMS-element flat chunks of each parameter with the
+    same bits as over the whole. The constructor's arguments are the keys of
+    a run config's training.optimizer section, checked here.
     """
 
     def __init__(self, base_lr=5e-5, weight_decay=0.01, warmup_steps=500,
@@ -146,19 +153,21 @@ class AdamW:
         bias1 = 1.0 - self.beta1 ** t
         bias2 = 1.0 - self.beta2 ** t
         for name, p in named_params:
-            g = p.grad
-            if not np.all(np.isfinite(g)):
-                raise TrainingError(f"non-finite gradient in parameter {name}")
             if name not in self.moments:
                 self.moments[name] = (np.zeros_like(p.value), np.zeros_like(p.value))
-            m, v = self.moments[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
-            if lr != 0.0:
-                update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-                p.value -= lr * (update + self.weight_decay * p.value)
+            # flat views: a Parameter's value and gradient are C-contiguous
+            flat = [a.reshape(-1) for a in (p.grad, *self.moments[name], p.value)]
+            for start in range(0, p.value.size, CHUNK_ELEMS):
+                g, m, v, value = (a[start:start + CHUNK_ELEMS] for a in flat)
+                if not np.all(np.isfinite(g)):
+                    raise TrainingError(f"non-finite gradient in parameter {name}")
+                m *= self.beta1
+                m += (1.0 - self.beta1) * g
+                v *= self.beta2
+                v += (1.0 - self.beta2) * np.square(g)
+                if lr != 0.0:
+                    update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+                    value -= lr * (update + self.weight_decay * value)
             p.zero_grad()
         self.step_count += 1
         return lr
@@ -227,29 +236,39 @@ class _EpochSampler:
         return out
 
 
-def _train(named_params, n_examples: int, example_loss, batch_at, steps: int, seed: int,
-           optimizer: AdamW | None, stop_after=None) -> list:
+# Largest rows x d_ff one shared MLM tape may hold: 8 MiB per [rows, d_ff]
+# float64 array. train_mlm puts as many slices on one tape as fit; a slice
+# larger than this alone keeps a tape of its own.
+SHARED_TAPE_ELEMS = 2**20
+
+
+def _train(named_params, n_examples: int, group_loss, group_size: int, batch_at, steps: int,
+           seed: int, optimizer: AdamW | None, stop_after=None) -> list:
     """The one step loop; returns one TraceRow per optimizer step.
 
     Each step takes batch_at(step) example indices from the seeded epoch
-    sampler, runs example_loss(idx, tape) on a fresh tape per example,
-    back-propagates each loss scaled by 1/batch and applies one optimizer
-    step over named_params(). stop_after(step), when given, is asked after
-    each step whether to end the run.
+    sampler and runs them in consecutive groups of up to group_size:
+    group_loss(indices, tape) records the sum of a group's example losses on
+    a fresh tape per group, which is back-propagated scaled by 1/batch. Then
+    one optimizer step runs over named_params(), and the trace records the
+    mean example loss. stop_after(step), when given, is asked after each step
+    whether to end the run.
     """
     optimizer = optimizer if optimizer is not None else AdamW()
     sampler = _EpochSampler(n_examples, SplitRng(seed).split(0))
     trace = []
     for step in range(steps):
         total = batch_at(step)
+        indices = sampler.take(total)
         losses = []
-        for idx in sampler.take(total):
+        for start in range(0, total, group_size):
             tape = nn.Tape()
-            loss = example_loss(idx, tape)
+            loss = group_loss(indices[start:start + group_size], tape)
             tape.backward(loss, seed=1.0 / total)
             losses.append(float(loss.value))
         lr = optimizer.step(named_params())
-        trace.append(TraceRow(step=step, loss=float(np.mean(losses)),
+        # np.mean's arithmetic, over per-group sums
+        trace.append(TraceRow(step=step, loss=float(np.sum(losses) / total),
                               batch_size=total, lr=lr))
         if stop_after is not None and stop_after(step):
             break
@@ -262,9 +281,10 @@ def train_mlm(cfg, state, dataset: np.ndarray, schedule: BatchSchedule, steps: i
     """Masked-token pretraining loop; returns one TraceRow per optimizer step.
 
     Each example is one dataset slice masked by policy from a stream keyed by
-    its running example index. Its loss is encoder.mlm_loss, which runs the
-    last encoder block's row-wise tail and the prediction head on the masked
-    (labeled) rows only.
+    its running example index. A step's slices share a tape as one [B, L]
+    batch, as many at a time as keep B x L x d_ff within SHARED_TAPE_ELEMS.
+    Its loss is encoder.mlm_loss, which runs the last encoder block's
+    row-wise tail and the prediction head on the masked (labeled) rows only.
     """
     if len(dataset) == 0:
         raise TrainingError("empty dataset")
@@ -272,14 +292,14 @@ def train_mlm(cfg, state, dataset: np.ndarray, schedule: BatchSchedule, steps: i
     mask_root = SplitRng(seed).split(1)
     example_counter = itertools.count()
 
-    def example_loss(idx, tape):
-        inputs, labels = apply_mlm_mask(
-            dataset[idx], policy, mask_root.split(next(example_counter)),
-            vocab_size=cfg.vocab_size,
-        )
-        return mlm_loss(cfg, state, inputs, labels, tape)
+    def group_loss(indices, tape):
+        inputs, labels = zip(*(apply_mlm_mask(dataset[idx], policy,
+                                              mask_root.split(next(example_counter)),
+                                              vocab_size=cfg.vocab_size) for idx in indices))
+        return mlm_loss(cfg, state, np.stack(inputs), np.stack(labels), tape)
 
-    return _train(state.named_params, len(dataset), example_loss, schedule.batch_at,
+    group_size = max(1, SHARED_TAPE_ELEMS // (dataset.shape[1] * cfg.d_ff))
+    return _train(state.named_params, len(dataset), group_loss, group_size, schedule.batch_at,
                   steps, seed, optimizer)
 
 
@@ -317,8 +337,8 @@ def train_seq2seq(state, pairs, steps: int, seed: int, optimizer: AdamW | None =
     schedule = BatchSchedule([(None, batch_size)])
     stopper = EarlyStopper(patience) if patience is not None else None
 
-    def example_loss(idx, tape):
-        return seq2seq_loss(state, *pairs[idx], tape)
+    def group_loss(indices, tape):  # one pair per tape: sources differ in length
+        return seq2seq_loss(state, *pairs[indices[0]], tape)
 
     def stop_after(step) -> bool:
         if (step + 1) * batch_size // len(pairs) == step * batch_size // len(pairs):
@@ -326,7 +346,7 @@ def train_seq2seq(state, pairs, steps: int, seed: int, optimizer: AdamW | None =
         values = [float(seq2seq_loss(state, src, tgt, None).value) for src, tgt in val_pairs]
         return stopper.update(float(np.mean(values)))
 
-    return _train(state.named_params, len(pairs), example_loss, schedule.batch_at,
+    return _train(state.named_params, len(pairs), group_loss, 1, schedule.batch_at,
                   steps, seed, optimizer,
                   stop_after if stopper is not None else None)
 

@@ -225,6 +225,19 @@ def test_criterion_2_gradient_suite(verdict):
             check_grad(f, x_val, analytic, 1e-4)
             n_checked += 1
 
+        # and over a batch [B, L, H], each slice mixed over its own last two axes (phase only at
+        # 8 tokens: its gradients are ill-conditioned at larger sizes)
+        for kind in MixingKind:
+            x_val = rng.normal(size=(2, 8, 3))
+            proj = rng.normal(size=(2, 8, 3))
+            analytic = mix2d_vjp(kind, x_val, proj)
+
+            def f():
+                return float(np.sum(mix2d(x_val, kind) * proj))
+
+            check_grad(f, x_val, analytic, 1e-4)
+            n_checked += 1
+
         # full encoder: masked-token loss, every parameter, each trainable kind
         for kind in LINEAR_KINDS:
             cfg = EncoderConfig(n_layers=2, d_model=8, d_ff=16, vocab_size=11,
@@ -253,21 +266,23 @@ def test_criterion_2_gradient_suite(verdict):
         cfg = EncoderConfig(n_layers=2, d_model=8, d_ff=16, vocab_size=11,
                             max_positions=8, mixing=MixingKind.HARTLEY)
         state = init_encoder_state(cfg, SplitRng(12))
-        ids = np.array([1, 4, 2, 9, 3])
-        labels = np.array([-1, 5, -1, 0, 7])
+        # one slice, then a [2, L] batch whose second slice has no labeled row
+        for ids, labels in ((np.array([1, 4, 2, 9, 3]), np.array([-1, 5, -1, 0, 7])),
+                            (np.array([[1, 4, 2, 9, 3], [6, 0, 8, 2, 5]]),
+                             np.array([[-1, 5, -1, 0, 7], [-1] * 5]))):
+            def run(tape):
+                return mlm_loss(cfg, state, ids, labels, tape)
 
-        def run(tape):
-            return mlm_loss(cfg, state, ids, labels, tape)
+            state.zero_grad()
+            tape = Tape()
+            tape.backward(run(tape))
 
-        tape = Tape()
-        tape.backward(run(tape))
+            def f():
+                return float(run(None).value)
 
-        def f():
-            return float(run(None).value)
-
-        for _, p in state.named_params():
-            check_grad(f, p.value, p.grad, 1e-4, zero_floor=1e-8)
-            n_checked += 1
+            for _, p in state.named_params():
+                check_grad(f, p.value, p.grad, 1e-4, zero_floor=1e-8)
+                n_checked += 1
 
         # full encoder-decoder, including the cross-attention seam into the
         # encoder; weights are scaled 10x so seam gradients clear FD roundoff

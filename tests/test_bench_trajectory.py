@@ -41,6 +41,7 @@ def test_training_memory_measures_each_length_in_a_fresh_process(trajectory, mon
     monkeypatch.setattr(trajectory, "BASE_LENGTHS", (16, 32))
     monkeypatch.setattr(trajectory, "HYBRID_DECODER", {"n_layers": 1, "n_heads": 2})
     monkeypatch.setattr(trajectory, "HYBRID_LENGTHS", (32, 8))
+    monkeypatch.setattr(trajectory, "BATCH_SHAPE", (3, 16))
     got = trajectory.training_memory(trajectory.ROOT)
     assert got["unit"] == "MiB" and got["model"]["n_layers"] == 2
     assert got["base_width"]["model"]["vocab_size"] == 300
@@ -52,6 +53,9 @@ def test_training_memory_measures_each_length_in_a_fresh_process(trajectory, mon
                                              for depth in ("1", "2") for n in ("16", "32"))]
     for peaks in rows:
         assert 0 < peaks["forward_peak_mib"] <= peaks["step_peak_mib"]
+    batch = got["mlm_batch_step"]
+    assert (batch["batch"], batch["seq_len"], batch["model"]["n_layers"]) == (3, 16, 1)
+    assert batch["step_peak_mib"] > 0
 
 
 def test_decoding_times_each_beam_and_length_in_a_fresh_process(trajectory, monkeypatch):

@@ -832,15 +832,15 @@ class TestCheckpointHeaders:
 
         assert digest(["train-mlm"], {"encoder": encoder}, {"corpus": str(corpus)},
                       enc_ckpt) == (
-            "106f627fafb3eabc48e805d35b0439b60d333999ce1ad631c56f0988c807049e")
+            "1db7aeba09c32a333dc920126f2d8d5445c7579280272644bbbb2d651117c46c")
         assert digest(["resume", "--mixing", "hartley"], {"encoder": encoder},
                       {"corpus": str(corpus), "checkpoint_in": str(enc_ckpt)},
                       tmp_path / "resumed.spmx") == (
-            "767c56162d465aeaf7df7a2efef9faae45b744ede6c22cbda4af4e53222e3315")
+            "c62e20319f4d528865f0dae937f0f796d3947ec7596a2de5375dcf75aac10bc9")
         assert digest(["finetune"], {"encoder": encoder, "decoder": decoder},
                       {"pairs": str(pairs), "checkpoint_in": str(enc_ckpt)},
                       tmp_path / "s2s.spmx") == (
-            "96d5368b896df8abf56a3e55404555ec6657406e356e8e9f9df156da1ea220f9")
+            "bcd72253e0a76ed24070b3d707b6078f8ad7aa301070f2369d35bff697dbc03e")
 
 
 class TestEvaluate:

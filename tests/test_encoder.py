@@ -156,8 +156,8 @@ class TestEncoderForward:
 
     def test_rejects_batched_ids(self):
         state = init_encoder_state(TINY, SplitRng(0))
-        with pytest.raises(ShapeError):
-            encoder_forward(TINY, state, np.zeros((2, 4), dtype=int))
+        with pytest.raises(ShapeError, match=r"\[L\] or \[B, L\]"):
+            encoder_forward(TINY, state, np.zeros((2, 2, 4), dtype=int))
 
     def test_kind_changes_activations_not_layout(self):
         state = init_encoder_state(TINY, SplitRng(1))
@@ -363,8 +363,8 @@ class TestRowsForward:
             self.assert_close(got[name], g, name)
 
     def test_train_mlm_runs_the_last_tail_on_labeled_rows(self, monkeypatch):
-        """Earlier blocks' feed-forward sees all L rows; the last block's and the head's see
-        only the labeled rows."""
+        """Earlier blocks' feed-forward sees all rows of a step's shared tape; the last block's
+        and the head's see only the labeled rows."""
         cfg = EncoderConfig(n_layers=3, d_model=8, d_ff=16, vocab_size=261, max_positions=32,
                             mixing=MixingKind.HARTLEY)
         state = init_encoder_state(cfg, SplitRng(0))
@@ -386,8 +386,8 @@ class TestRowsForward:
         train_mlm(cfg, state, dataset, BatchSchedule([(None, 2)]), 2, seed=3)
         assert len(labeled) == 4 and 0 < min(labeled)
         expected = []
-        for n in labeled:
-            for name, rows in (("layer0", 32), ("layer1", 32), ("layer2", n)):
+        for n in (labeled[0] + labeled[1], labeled[2] + labeled[3]):  # one tape per step
+            for name, rows in (("layer0", 64), ("layer1", 64), ("layer2", n)):
                 expected += [(f"{name}.ff.w1", rows), (f"{name}.ff.w2", rows)]
             expected.append(("mlm.dense.w", n))
         assert seen == expected
@@ -438,6 +438,93 @@ class TestMlmLoss:
         state = init_encoder_state(TINY, SplitRng(0))
         with pytest.raises(ShapeError, match="labels shape"):
             mlm_loss(TINY, state, [1, 2, 3, 4], [0, 1, 2], None)
+
+
+class TestBatchedForward:
+    """A [B, L] batch of slices against the B per-example forwards and tapes it replaces."""
+
+    B = 3
+
+    @staticmethod
+    def model(kind, length):
+        cfg = EncoderConfig(n_layers=2, d_model=16, d_ff=32, vocab_size=50,
+                            max_positions=length, mixing=kind)
+        return cfg, init_encoder_state(cfg, SplitRng(4))
+
+    @classmethod
+    def batch(cls, length):
+        """Ids [B, L] and each slice's labels: every third position, from a per-slice offset."""
+        rng = np.random.default_rng(length)
+        ids = rng.integers(0, 50, size=(cls.B, length))
+        labels = np.full(ids.shape, nn.IGNORE_LABEL)
+        for b in range(cls.B):
+            labels[b, b::3] = rng.integers(0, 50, size=len(labels[b, b::3]))
+        return ids, labels
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["free", "taped"])
+    @pytest.mark.parametrize("length", [ROW_BLOCK - 1, ROW_BLOCK + 3])
+    @pytest.mark.parametrize("kind", list(MixingKind))
+    def test_matches_the_per_example_forwards(self, kind, length, taped):
+        """Bit for bit, with and without rows; tape-free row blocks cross slice boundaries.
+
+        (At L = ROW_BLOCK + 1 a lone slice's tape-free forward ends in a one-row block, which
+        BLAS rounds differently from a row of a larger one.)
+        """
+        cfg, state = self.model(kind, length)
+        ids, labels = self.batch(length)
+
+        def forward(token_ids, rows=None):
+            return encoder_forward(cfg, state, token_ids, tape=Tape() if taped else None,
+                                   rows=rows).value
+
+        got = forward(ids)
+        assert got.shape == (self.B * length, 16)
+        assert np.array_equal(got, np.concatenate([forward(row) for row in ids]))
+        got = forward(ids, np.flatnonzero(labels != nn.IGNORE_LABEL))
+        ref = [forward(ids[b], np.flatnonzero(labels[b] != nn.IGNORE_LABEL))
+               for b in range(self.B)]
+        assert np.array_equal(got, np.concatenate(ref))
+
+    @pytest.mark.parametrize("kind", LINEAR_KINDS + [MixingKind.MODULUS])
+    def test_mlm_loss_matches_the_per_example_tapes(self, kind):
+        """Loss and every parameter gradient of one [B, L] tape against B tapes' sums.
+
+        Phase gradients are too ill-conditioned to compare here; the 8-token test below covers
+        it.
+        """
+        cfg, state = self.model(kind, ROW_BLOCK + 3)
+        ids, labels = self.batch(ROW_BLOCK + 3)
+        self.assert_matches(cfg, state, ids, labels)
+
+    @pytest.mark.parametrize("kind", list(MixingKind))
+    def test_mlm_loss_at_eight_tokens_with_an_unlabeled_slice(self, kind):
+        """The unlabeled slice adds exactly 0 to the loss and nothing to any gradient."""
+        cfg = tiny_cfg(mixing=kind)
+        state = init_encoder_state(cfg, SplitRng(11))
+        ids = np.stack([TestMlmLoss.IDS, TestMlmLoss.IDS[::-1]])
+        labels = np.array([[5, -1, 0, -1, -1, 9, -1, 3], [-1] * 8])
+        self.assert_matches(cfg, state, ids, labels)
+
+    @staticmethod
+    def assert_matches(cfg, state, ids, labels):
+        loss, grads = TestMlmLoss.loss_and_grads(
+            state, lambda t: mlm_loss(cfg, state, ids, labels, t))
+        state.zero_grad()
+        ref_loss = 0.0
+        for row, row_labels in zip(ids, labels):
+            tape = Tape()
+            one = mlm_loss(cfg, state, row, row_labels, tape)
+            tape.backward(one)
+            ref_loss += float(one.value)
+        assert abs(loss - ref_loss) <= 1e-12 * abs(ref_loss)
+        for name, p in state.named_params():
+            # BLAS sums a parameter gradient over all B slices' rows at once
+            assert np.linalg.norm(grads[name] - p.grad) <= 1e-12 * np.linalg.norm(p.grad), name
+
+    def test_labels_must_match_the_batch(self):
+        state = init_encoder_state(TINY, SplitRng(0))
+        with pytest.raises(ShapeError, match="labels shape"):
+            mlm_loss(TINY, state, np.zeros((2, 4), dtype=int), np.zeros(8, dtype=int), None)
 
 
 class TestSwapMixing:

@@ -415,6 +415,30 @@ class TestMaskedCrossEntropy:
         with pytest.raises(ShapeError):
             nn.masked_cross_entropy(Node(np.zeros((2, 4))), [0, 1, 2], None)
 
+    def test_each_example_is_its_own_mean(self):
+        """Three examples: one labeled row, two, and none, which adds exactly 0."""
+        lv = np.random.default_rng(0).normal(size=(6, 4))
+        labels = np.array([2, -1, 0, 3, -1, -1])
+        examples = np.array([0, 0, 1, 1, 2, 2])
+        logits = Node(lv)
+        tape = Tape()
+        out = nn.masked_cross_entropy(logits, labels, tape, examples)
+        tape.backward(out)
+        parts = [nn.masked_cross_entropy(Node(lv[examples == b]), labels[examples == b], None)
+                 for b in range(3)]
+        assert parts[2].value == 0.0
+        assert out.value == parts[0].value + parts[1].value + parts[2].value
+
+        def f():
+            return float(nn.masked_cross_entropy(Node(lv), labels, None, examples).value)
+
+        check_grad(f, lv, logits.grad, 1e-5)
+        assert not logits.grad[4:].any()
+
+    def test_examples_shape_mismatch(self):
+        with pytest.raises(ShapeError, match="examples"):
+            nn.masked_cross_entropy(Node(np.zeros((2, 4))), [0, 1], None, [0])
+
     def test_grad_matches_fd(self):
         for seed in range(3):
             rng = np.random.default_rng(seed)

@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specmix import training
 from specmix.encoder import EncoderConfig, init_encoder_state
 from specmix.errors import ConfigError, TrainingError
-from specmix.nn import Parameter
+from specmix.nn import Parameter, Tape
 from specmix.rng import SplitRng
 from specmix.seq2seq import DecoderConfig, init_seq2seq_state
 from specmix.spectral import MixingKind
@@ -222,6 +223,54 @@ class TestAdamW:
         opt.step([("w", p)])
         assert not p.grad.any()
 
+    @staticmethod
+    def run_steps(monkeypatch, chunk, shapes, steps=4):
+        monkeypatch.setattr(training, "CHUNK_ELEMS", chunk)
+        rng = np.random.default_rng(0)
+        params = [(f"p{i}", Parameter(f"p{i}", rng.normal(size=shape)))
+                  for i, shape in enumerate(shapes)]
+        opt = AdamW(base_lr=1e-2, weight_decay=0.1, warmup_steps=2)
+        for _ in range(steps):
+            for _, p in params:
+                p.grad[...] = rng.normal(size=p.value.shape)
+            opt.step(params)
+        return [p.value for _, p in params]
+
+    def test_chunked_update_matches_the_whole(self, monkeypatch):
+        """Chunks of 5 elements, some ragged, leave every parameter bit for bit as one chunk."""
+        shapes = [(3,), (5,), (4, 7), (2, 3, 4)]
+        whole = self.run_steps(monkeypatch, 2**21, shapes)
+        chunked = self.run_steps(monkeypatch, 5, shapes)
+        for a, b in zip(chunked, whole):
+            assert np.array_equal(a, b)
+
+    def test_nonfinite_grad_in_a_later_chunk_names_parameter(self, monkeypatch):
+        monkeypatch.setattr(training, "CHUNK_ELEMS", 4)
+        p = Parameter("mlm.bias", np.ones(10))
+        p.grad[9] = np.inf
+        with pytest.raises(TrainingError, match="mlm.bias"):
+            AdamW(warmup_steps=0).step([("mlm.bias", p)])
+
+    def test_step_transient_stays_within_a_few_chunks(self, monkeypatch):
+        """A step over a parameter 16 chunks long allocates at most 8 chunks beyond its moments.
+
+        The whole-tensor update held about three parameter-sized temporaries at once, 48 chunks
+        here.
+        """
+        chunk = 2**12
+        monkeypatch.setattr(training, "CHUNK_ELEMS", chunk)
+        p = Parameter("w", np.random.default_rng(0).normal(size=(16, chunk)))
+        opt = AdamW(base_lr=1e-3, warmup_steps=0)
+        opt.step([("w", p)])  # the moments, outside the trace
+        p.grad[...] = 1.0
+        tracemalloc.start()
+        try:
+            opt.step([("w", p)])
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - current <= 8 * chunk * 8, peak - current
+
 
 class TestBatchSchedule:
     def test_phase_boundary(self):
@@ -292,6 +341,27 @@ class TestTrainMlm:
         with pytest.raises(TrainingError):
             train_mlm(MICRO, state, pack_corpus([], 32), BatchSchedule([(None, 2)]),
                       steps=1, seed=0)
+
+    @pytest.mark.parametrize("d_ff, tapes", [(256, 1), (1025, 2)])
+    def test_a_step_shares_its_tapes_within_the_budget(self, monkeypatch, d_ff, tapes):
+        """8 slices of 128 tokens share one tape at d_ff 256 (2^18 elements per [rows, d_ff]
+        array); at d_ff 1025 they pass SHARED_TAPE_ELEMS = 2^20, so 7 share a tape and 1 runs
+        alone."""
+        cfg = EncoderConfig(n_layers=1, d_model=8, d_ff=d_ff, vocab_size=261,
+                            max_positions=128, mixing=MixingKind.HARTLEY)
+        state = init_encoder_state(cfg, SplitRng(0))
+        dataset = np.random.default_rng(0).integers(5, 261, size=(8, 128))
+        calls = []
+        backward = Tape.backward
+
+        def count(tape, output, seed=1.0):
+            calls.append(seed)
+            return backward(tape, output, seed)
+
+        monkeypatch.setattr(Tape, "backward", count)
+        trace = train_mlm(cfg, state, dataset, BatchSchedule([(None, 8)]), 2, seed=0)
+        assert len(trace) == 2
+        assert calls == [1.0 / 8] * 2 * tapes
 
     def test_lr_recorded(self):
         _, trace = micro_train(seed=0, steps=3,
@@ -467,7 +537,13 @@ class TestLoopBytes:
     def test_train_mlm_two_phase_schedule(self):
         state, trace = micro_train(seed=4, steps=8, schedule=BatchSchedule([(3, 2), (None, 3)]))
         assert loop_digest(trace, state) == (
-            "11f80522802935c4853668e54defddbb05794142521a17bb765f509c0869e9cf")
+            "a6c64c91a421604d19e9bdff3849326c7618f8c6346f63c79ca5d210e381f551")
+
+    def test_train_mlm_batch_of_one(self):
+        """A one-slice batch runs the per-example arithmetic of one tape per slice, bit for bit."""
+        state, trace = micro_train(seed=4, steps=8, schedule=BatchSchedule([(None, 1)]))
+        assert loop_digest(trace, state) == (
+            "0f733fc2ad201669cd2317f04069140953fbb694e6a7500786efb4c7cd96dd08")
 
     def test_train_seq2seq_early_stopped(self):
         # 5 pairs in batches of 2: epochs end mid-batch; patience stops the run at step 20
