@@ -34,6 +34,12 @@ DECODE_DECODER's layers on a DECODE_SOURCE-token source. EOS is unreachable
 and no n-gram is banned, so each call decodes the whole target length. Each
 beam and length runs in its own fresh process, as the memory probes do.
 
+The ``encoding`` block holds the median wall ms of the tape-free
+``encoder_forward`` of a 1-layer BASE_MODEL Hartley encoder at each length
+in ENCODE_LENGTHS: the long-document inference path, at a prime next to each
+power of two. Each length runs in its own fresh process, with one untimed
+call before the timed ones.
+
 Files are numbered in order in this repository's root: the first is
 BENCH_0.json, and each later one names the file before it as its parent.
 """
@@ -67,6 +73,8 @@ DECODE_SOURCE = 255
 DECODE_BEAMS = (1, 4)
 DECODE_LENGTHS = (64, 512)
 DECODE_REPEATS = 3
+ENCODE_LENGTHS = (509, 512, 4093, 4096)
+ENCODE_REPEATS = 5
 
 
 def run_workload(checkout: Path, command: list, workload: str, seed: int,
@@ -210,6 +218,31 @@ def decode_ms_per_token(encoder: dict, decoder: dict, src_len: int, beam: int,
     return statistics.median(times)
 
 
+def encode_ms(model: dict, seq_len: int) -> float:
+    """Median wall ms of ENCODE_REPEATS tape-free encoder_forward calls of a Hartley encoder.
+
+    model is as for mlm_step_peaks; the input is seq_len random token ids.
+    One untimed call first sets up the transforms. Imports specmix as
+    mlm_step_peaks does.
+    """
+    import time
+
+    import specmix as sm
+
+    cfg = sm.EncoderConfig(**{"vocab_size": sm.ByteTokenizer.vocab_size, **model},
+                           max_positions=seq_len, mixing=sm.MixingKind.HARTLEY)
+    state = sm.init_encoder_state(cfg, sm.SplitRng(SEEDS[0]), with_mlm_head=False)
+    ids = sm.SplitRng(SEEDS[0]).split(1).integers(sm.ByteTokenizer.n_specials, cfg.vocab_size,
+                                                  size=seq_len)
+    sm.encoder_forward(cfg, state, ids)
+    times = []
+    for _ in range(ENCODE_REPEATS):
+        start = time.perf_counter()
+        sm.encoder_forward(cfg, state, ids)
+        times.append((time.perf_counter() - start) * 1e3)
+    return statistics.median(times)
+
+
 def _probe(checkout: Path, fn: str, *args):
     """This module's fn(*args), run in a fresh single-BLAS-thread process on checkout's sources."""
     probe = ("import json, sys; sys.path[:0] = sys.argv[1:3]; import bench_trajectory as b; "
@@ -258,6 +291,14 @@ def decoding(checkout: Path) -> dict:
                                                  DECODE_DECODER, DECODE_SOURCE, beam, n)
                                   for n in DECODE_LENGTHS}
                       for beam in DECODE_BEAMS}}
+
+
+def encoding(checkout: Path) -> dict:
+    """The tape-free encoder forward's median ms at each length in ENCODE_LENGTHS."""
+    model = {**BASE_MODEL, "n_layers": 1}
+    return {"model": {**model, "mixing": "hartley"}, "tape": False, "repeats": ENCODE_REPEATS,
+            "unit": "ms", "statistic": "median",
+            "lengths": {str(n): _probe(checkout, "encode_ms", model, n) for n in ENCODE_LENGTHS}}
 
 
 def next_file() -> tuple:
@@ -319,7 +360,8 @@ def main(argv=None) -> int:
     record = {"file": path.name, "parent": parent, "commit": commit_of(checkout),
               "seeds": list(SEEDS), "run_seconds": spec["run_seconds"],
               "provenance": provenance, "workloads": workloads,
-              "training_memory": training_memory(checkout), "decoding": decoding(checkout)}
+              "training_memory": training_memory(checkout), "decoding": decoding(checkout),
+              "encoding": encoding(checkout)}
     path.write_text(json.dumps(record, indent=2) + "\n")
     print(f"wrote {path}")
     return 0

@@ -269,16 +269,21 @@ def layer_norm(x: Node, gamma: Node, beta: Node, eps: float, tape: Tape | None) 
 
 
 def gelu(x: Node, tape: Tape | None) -> Node:
-    """Exact GELU, x * Phi(x) with the erf-based normal CDF."""
+    """Exact GELU, x * Phi(x) with the erf-based normal CDF.
+
+    erf is exactly odd, so it runs on |x| / sqrt 2 and copysign restores the sign: the bits
+    are erf's own, and its branches no longer mispredict on the sign of half the inputs.
+    """
     v = x.value
-    # one buffer for the CDF; out= keeps a 0-d input an array that erf can write
+    # one buffer for the CDF (and the tape-free output); out= keeps a 0-d input an array
     cdf = np.multiply(v, _INV_SQRT2, out=np.empty_like(v))
-    erf(cdf, out=cdf)
+    erf(np.abs(cdf, out=cdf), out=cdf)
+    np.copysign(cdf, v, out=cdf)
     cdf += 1.0
     cdf *= 0.5
-    out = Node(v * cdf)
     if tape is None:
-        return out
+        return Node(np.multiply(v, cdf, out=cdf))
+    out = Node(v * cdf)
     # the derivative cdf + v * pdf(v): the tape keeps it instead of v and the CDF
     d = np.multiply(v, v, out=np.empty_like(v))
     d *= -0.5

@@ -73,6 +73,16 @@ def test_decoding_times_each_beam_and_length_in_a_fresh_process(trajectory, monk
         assert all(ms > 0 for ms in beam.values())
 
 
+def test_encoding_times_each_length_in_a_fresh_process(trajectory, monkeypatch):
+    monkeypatch.setattr(trajectory, "BASE_MODEL", {"d_model": 8, "d_ff": 16, "vocab_size": 40})
+    monkeypatch.setattr(trajectory, "ENCODE_LENGTHS", (7, 8))
+    got = trajectory.encoding(trajectory.ROOT)
+    assert got["unit"] == "ms" and got["tape"] is False
+    assert got["model"]["n_layers"] == 1 and got["model"]["d_model"] == 8
+    assert sorted(got["lengths"]) == ["7", "8"]
+    assert all(ms > 0 for ms in got["lengths"].values())
+
+
 def test_base_model_has_the_base_config_widths(trajectory):
     from specmix.encoder import base_encoder_config
 

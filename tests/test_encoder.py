@@ -1,5 +1,6 @@
 """Encoder state layout, parameter counts, forward semantics, and full-model grads."""
 
+import hashlib
 import json
 import tracemalloc
 from types import SimpleNamespace
@@ -238,6 +239,24 @@ class TestRowBlockedForward:
                 tracemalloc.stop()
         assert peaks[1] <= 1.1 * peaks[0], peaks
         assert max(peaks) <= 5 * length * 32 * 8, peaks
+
+    @pytest.mark.parametrize("shape, digest", [
+        ((1021,), "0b8285ce1888ddb79b6a7ed559adb6c04e5c9ded404554880e16660ae732131d"),
+        ((2, 509), "4081b0f6451b59b05d710e6df54dd332c17cfbf0a4903eb25e569c1589e06678"),
+    ])
+    def test_bytes_at_the_long_document_widths(self, shape, digest):
+        """The tape-free forward at the longdoc_encode benchmark's widths is pinned to its bytes.
+
+        Both inputs span eight ROW_BLOCKs, the last one partial; the second is
+        a batch of two slices of prime length.
+        """
+        cfg = EncoderConfig(n_layers=2, d_model=96, d_ff=384, vocab_size=261,
+                            max_positions=2048, mixing=MixingKind.HARTLEY)
+        state = init_encoder_state(cfg, SplitRng(7), with_mlm_head=False)
+        ids = np.random.default_rng(1021).integers(5, cfg.vocab_size, size=shape)
+        out = encoder_forward(cfg, state, ids).value
+        assert out.shape == (1021 if len(shape) == 1 else 1018, 96)
+        assert hashlib.sha256(out.tobytes()).hexdigest() == digest
 
 
 class TestTapedForwardMemory:

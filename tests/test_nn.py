@@ -194,6 +194,19 @@ class TestLayerNorm:
             check_grad(f, bv, b.grad, 1e-5)
 
 
+GELU_SPECIALS = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, -1e-310,
+                 1e-300, -40.0, 40.0, 1e308, -1e308]
+
+
+def gelu_sweep() -> np.ndarray:
+    """Specials, points either side of |x / sqrt 2| = 1 (where erf switches branch), normals."""
+    rng = np.random.default_rng(9)
+    edge = np.sqrt(2.0) * np.concatenate([1.0 + np.linspace(-1e-12, 1e-12, 41),
+                                          np.linspace(0.9, 1.1, 41)])
+    normals = [rng.normal(size=500) * scale for scale in (0.2, 1.0, 3.0)]
+    return np.concatenate([GELU_SPECIALS, edge, -edge, *normals])
+
+
 class TestGelu:
     def test_zero(self):
         assert nn.gelu(Node(0.0), None).value == 0.0
@@ -214,21 +227,36 @@ class TestGelu:
 
         check_grad(f, xv, x.grad, 1e-6)
 
-    def test_backward_bits_match_the_reference_formula(self):
-        rng = np.random.default_rng(5)
-        xv = np.concatenate([rng.normal(size=200) * 3, [0.0, -0.0, 1e-300, -40.0, 40.0]])
-        g = rng.normal(size=xv.shape)
-        x = Node(xv)
-        tape = Tape()
-        tape.backward(nn.gelu(x, tape), seed=g)
-        cdf = 0.5 * (1.0 + erf(xv * nn._INV_SQRT2))
-        pdf = nn._INV_SQRT_2PI * np.exp(-0.5 * xv * xv)
-        assert x.grad.tobytes() == (g * (cdf + xv * pdf)).tobytes()
+    @staticmethod
+    def assert_same_bits(got, want):
+        """Byte equality, except that a NaN need only meet a NaN: erf keeps no NaN's sign."""
+        got, want = np.asarray(got), np.asarray(want)
+        nan = np.isnan(want)
+        assert got.shape == want.shape
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
 
-    def test_taped_and_untaped_forwards_are_bit_equal(self):
-        xv = np.random.default_rng(6).normal(size=(7, 5)) * 3
-        taped = nn.gelu(Node(xv), Tape()).value
-        assert taped.tobytes() == nn.gelu(Node(xv), None).value.tobytes()
+    def test_erf_is_exactly_odd(self):
+        """The sign fold in nn.gelu holds its bits only because scipy's erf is exactly odd."""
+        z = gelu_sweep() * nn._INV_SQRT2
+        self.assert_same_bits(np.copysign(erf(np.abs(z)), z), erf(z))
+
+    @pytest.mark.parametrize("xv", [gelu_sweep().reshape(2, -1), *map(np.array, GELU_SPECIALS)],
+                             ids=["sweep", *map(repr, GELU_SPECIALS)])
+    def test_forwards_and_backward_match_the_unfolded_reference_bits(self, xv):
+        g = np.random.default_rng(10).normal(size=xv.shape)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0 and 1e308 ** 2
+            cdf = 0.5 * (1.0 + erf(xv * nn._INV_SQRT2))
+            pdf = nn._INV_SQRT_2PI * np.exp(-0.5 * xv * xv)
+            want, want_grad = xv * cdf, g * (cdf + xv * pdf)
+            free = nn.gelu(Node(xv), None).value
+            x = Node(xv)
+            tape = Tape()
+            taped = nn.gelu(x, tape)
+            tape.backward(taped, seed=g)
+        self.assert_same_bits(free, want)
+        self.assert_same_bits(taped.value, want)
+        self.assert_same_bits(x.grad, want_grad)
 
 
 def keeps_input_value(op, shape) -> bool:
