@@ -11,9 +11,9 @@ The mixing workloads time just the transform because that is all the mixing
 sub-layer executes; the attention baseline includes its projections because
 attention cannot run without them. Reported numbers are 1 / the median of
 `repeats` samples of seconds per call, after `warmup` discarded calls,
-single-threaded (BLAS pools are clamped when threadpoolctl is available;
-otherwise only the thread variables in the environment hold them, and
-`specmix bench` warns unless the loaded OpenBLAS reads back one thread). A
+single-threaded: each loaded OpenBLAS is held to one thread, then restored;
+`specmix bench` warns if one reads back more or none is found (as with MKL,
+which only the thread variables in the environment hold to one thread). A
 sample is the mean over as many calls as add up to MIN_SAMPLE_S of timed
 work. The three workloads of one length take one sample each per round, their
 calls interleaved one by one, so a drift in host speed falls on all of them
@@ -57,58 +57,57 @@ class BenchResult:
 
 # Environment variables that set the BLAS thread count when nothing clamps it.
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# OpenBLAS's thread-count getter under the names its builds export.
-_GET_THREADS = ("openblas_get_num_threads", "openblas_get_num_threads64_",
-                "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads")
+# OpenBLAS's thread-count getter and setter under the names its builds export.
+_THREAD_CALLS = [(f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+                 for prefix in ("openblas_", "scipy_openblas_") for suffix in ("", "64_")]
 
 
-def _threadpool_limits():
-    """threadpoolctl's threadpool_limits, or None when it is not installed."""
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        return None
-    return threadpool_limits
-
-
-def _single_thread():
-    limits = _threadpool_limits()
-    return contextlib.nullcontext() if limits is None else limits(limits=1)
-
-
-def _blas_threads() -> int | None:
-    """Threads the OpenBLAS loaded into this process will use, or None if unknown."""
+def _openblas_calls():
+    """Yield the (get, set) thread-count functions of each OpenBLAS loaded into this process."""
     try:
         maps = Path("/proc/self/maps").read_text()
     except OSError:
-        return None
+        return
     for lib in sorted({line.split()[-1] for line in maps.splitlines()
                        if "openblas" in line.lower() and ".so" in line}):
         try:
             handle = ctypes.CDLL(lib)
         except OSError:
             continue
-        for symbol in _GET_THREADS:
-            fn = getattr(handle, symbol, None)
-            if fn is not None:
-                fn.argtypes = []
-                fn.restype = ctypes.c_int
-                return int(fn())
-    return None
+        for get_name, set_name in _THREAD_CALLS:
+            get, set_ = getattr(handle, get_name, None), getattr(handle, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                yield get, set_
+
+
+@contextlib.contextmanager
+def _single_thread():
+    """Hold each loaded OpenBLAS to one thread, yielding the counts read back; restore on exit."""
+    calls = list(_openblas_calls())
+    before = [get() for get, _ in calls]
+    try:
+        for _, set_ in calls:
+            set_(1)
+        yield [get() for get, _ in calls]
+    finally:
+        for (_, set_), threads in zip(calls, before):
+            set_(threads)
 
 
 def unclamped_blas_warning() -> str | None:
     """Why a bench's BLAS may run more than one thread, or None when it runs one.
 
-    The count is read back from the loaded OpenBLAS under the bench's own
-    clamp, so it says what the timed calls ran with.
+    The counts are read back from every loaded OpenBLAS under the bench's own
+    clamp, so they say what the timed calls ran with.
     """
-    with _single_thread():
-        threads = _blas_threads()
-    if threads == 1:
+    with _single_thread() as threads:
+        pass
+    if threads and set(threads) == {1}:
         return None
-    what = ("could not read the BLAS thread count" if threads is None
-            else f"BLAS runs {threads} threads, not 1")
+    what = (f"BLAS runs {max(threads)} threads, not 1" if threads
+            else "could not read the BLAS thread count")
     found = [f"{var}={os.environ[var]}" for var in THREAD_VARS if var in os.environ]
     return f"{what}; thread variables set: {', '.join(found) or 'none'}"
 

@@ -55,14 +55,19 @@ from .training import (
 )
 
 
+def _seed(args, default: int) -> int:
+    if args.seed is None:
+        return default
+    if args.seed < 0:
+        raise ConfigError("--seed must be >= 0")
+    return args.seed
+
+
 def _require_config(args) -> RunConfig:
     if args.config is None:
         raise ConfigError(f"{args.command} requires --config")
     cfg = load_run_config(args.config)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be >= 0")
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = dataclasses.replace(cfg, seed=_seed(args, cfg.seed))
     if args.mixing is not None:
         encoder = dataclasses.replace(cfg.encoder, mixing=args.mixing)
         cfg = dataclasses.replace(cfg, encoder=encoder)
@@ -321,14 +326,19 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    seq_lens = [int(part) for part in args.seq_lens.split(",") if part.strip()]
+    seq_lens = []
+    for part in filter(None, map(str.strip, args.seq_lens.split(","))):
+        try:
+            seq_lens.append(int(part))
+        except ValueError:
+            raise ConfigError(f"--seq-lens: {part!r} is not an integer") from None
     results = bench_mixing_vs_attention(
         seq_lens,
         d_model=args.d_model,
         n_heads=args.n_heads,
         repeats=args.repeats,
         warmup=args.warmup,
-        seed=args.seed if args.seed is not None else 0,
+        seed=_seed(args, 0),
     )
     # warned once the arguments passed, so a rejected command prints one error line
     warning = unclamped_blas_warning()

@@ -115,6 +115,32 @@ class TestHarness:
         assert order == ["a", "a", "b", "b"] + ["a", "b"] * 2 * 5
 
 
+class TestClamp:
+    def test_every_loaded_openblas_is_clamped_then_restored(self):
+        calls = list(bench._openblas_calls())
+        if not calls:
+            pytest.skip("no OpenBLAS library is loaded into this process")
+        original = [get() for get, _ in calls]
+        try:
+            for _, set_ in calls:
+                set_(2)
+            with bench._single_thread() as threads:
+                assert threads == [1] * len(calls)
+            assert [get() for get, _ in calls] == [2] * len(calls)
+            with pytest.raises(RuntimeError, match="body"), bench._single_thread():
+                raise RuntimeError("body")
+            assert [get() for get, _ in calls] == [2] * len(calls)
+        finally:
+            for (_, set_), threads in zip(calls, original):
+                set_(threads)
+
+    def test_warning_reads_back_every_library(self, fake_openblas):
+        # the first library clamps; the second still runs 2 threads under the clamp
+        fake_openblas(2)
+        fake_openblas(2, stuck=True)
+        assert bench.unclamped_blas_warning().startswith("BLAS runs 2 threads, not 1")
+
+
 class TestEmitters:
     def test_csv_header_and_rows(self):
         rows = [

@@ -1,11 +1,9 @@
 """End-to-end command-line runs against tiny models in a temp directory."""
 
-import contextlib
 import csv
 import hashlib
 import json
 import sys
-import types
 from types import SimpleNamespace
 
 import numpy as np
@@ -975,19 +973,26 @@ class TestBenchCommand:
         assert main(["bench", "--seq-lens", "8", "--repeats", "2"]) == 1
         assert "repeats" in capsys.readouterr().err
 
-    def test_indivisible_heads_is_one_error_line(self, monkeypatch, capsys):
+    def test_indivisible_heads_is_one_error_line(self, fake_openblas, capsys):
         # with BLAS unclamped, the arguments are still rejected before any warning
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # its import now fails
-        monkeypatch.setattr(bench, "_blas_threads", lambda: 4)
+        fake_openblas(4, stuck=True)
         assert main(["bench", "--seq-lens", "8", "--d-model", "768", "--n-heads", "5"]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:") and "n_heads 5" in lines[0]
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--seq-lens", "8,abc"], "error: --seq-lens: 'abc' is not an integer"),
+        (["--seq-lens", "8", "--seed", "-2"], "error: --seed must be >= 0"),
+    ], ids=["seq-lens", "seed"])
+    def test_bad_flag_is_named_before_any_timing(self, flags, message, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "bench_mixing_vs_attention", None)  # timing would fail
+        assert main(["bench", *flags]) == 1
+        assert capsys.readouterr().err.splitlines() == [message]
+
     TINY = ["bench", "--seq-lens", "8", "--d-model", "8", "--n-heads", "2"]
 
-    def test_warns_when_blas_is_not_clamped(self, monkeypatch, capsys):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)  # its import now fails
-        monkeypatch.setattr(bench, "_blas_threads", lambda: 4)  # the count read back
+    def test_warns_when_blas_is_not_clamped(self, fake_openblas, monkeypatch, capsys):
+        fake_openblas(4, stuck=True)  # reads 4 under the clamp
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
         monkeypatch.setenv("MKL_NUM_THREADS", "2")
@@ -997,9 +1002,8 @@ class TestBenchCommand:
         assert "OPENBLAS_NUM_THREADS=1, MKL_NUM_THREADS=2" in lines[0]
         assert "OMP_NUM_THREADS" not in lines[0]
 
-    def test_warning_says_when_no_variable_is_set(self, monkeypatch, capsys):
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        monkeypatch.setattr(bench, "_blas_threads", lambda: None)  # no count could be read
+    def test_warning_says_when_no_variable_is_set(self, fake_openblas, monkeypatch, capsys):
+        # no library added: no count could be read
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         assert main(self.TINY) == 0
@@ -1008,22 +1012,14 @@ class TestBenchCommand:
         assert lines[0].startswith("warning: could not read the BLAS thread count")
         assert lines[0].endswith("thread variables set: none")
 
-    def test_no_warning_when_threadpoolctl_clamps(self, monkeypatch, capsys):
-        calls = []
-        fake = types.ModuleType("threadpoolctl")
-        fake.threadpool_limits = lambda limits: calls.append(limits) or contextlib.nullcontext()
-        monkeypatch.setitem(sys.modules, "threadpoolctl", fake)
-        monkeypatch.setattr(bench, "_blas_threads", lambda: 1)  # as read under the clamp
+    def test_no_warning_when_the_clamp_holds(self, fake_openblas, capsys):
+        """One library clamped by the bench, one the environment already holds to 1."""
+        pooled, held = fake_openblas(2), fake_openblas(1)
         assert main(self.TINY) == 0
         assert capsys.readouterr().err == ""
-        assert calls == [1, 1]  # the timed calls and the read-back both ran clamped
-
-    def test_no_warning_when_the_environment_clamps(self, monkeypatch, capsys):
-        """Without threadpoolctl, OPENBLAS_NUM_THREADS=1 clamps the loaded OpenBLAS."""
-        monkeypatch.setitem(sys.modules, "threadpoolctl", None)
-        monkeypatch.setattr(bench, "_blas_threads", lambda: 1)
-        assert main(self.TINY) == 0
-        assert capsys.readouterr().err == ""
+        # the timed calls and the read-back each set 1, then the previous count
+        assert pooled.set_to == [1, 2, 1, 2] and pooled.threads == 2
+        assert held.set_to == [1, 1, 1, 1] and held.threads == 1
 
 
 class TestCountParams:
