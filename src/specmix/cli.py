@@ -1,10 +1,11 @@
 """Command-line front end: pretraining, resuming, fine-tuning, generation,
 evaluation, benchmarking, and parameter counting.
 
-All commands are driven by one JSON run config (see config module) plus four
-global flags: --config, --seed, --mixing, --out. Flags override the config
-file. Every command is deterministic given (config, seed) and uses exit code
-0 on success, 1 with a one-line diagnostic on stderr for any expected error.
+Each command takes only the flags it reads. Those that read a JSON run config
+(--config, see config module) let their --seed, --mixing and --out override it.
+Every command is deterministic given (config, seed) and exits 0 on success, 1
+with a one-line diagnostic on stderr for any expected error, 2 on a flag it
+does not take.
 """
 
 from __future__ import annotations
@@ -26,8 +27,6 @@ from .bench import (
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, load_run_config
 from .encoder import (
-    EncoderConfig,
-    EncoderState,
     base_encoder_config,
     count_params,
     init_encoder_state,
@@ -37,7 +36,6 @@ from .errors import CheckpointError, ConfigError, ShapeError, TrainingError, bui
 from .metrics import TaskMetricPair, relative_performance, rouge1_f, rougeL_f
 from .rng import SplitRng
 from .seq2seq import (
-    DecoderConfig,
     GenerationConfig,
     generate,
     init_seq2seq_state,
@@ -47,7 +45,6 @@ from .spectral import MixingKind
 from .training import (
     ByteTokenizer,
     load_corpus_jsonl,
-    load_pairs_jsonl,
     pack_corpus,
     read_jsonl,
     train_mlm,
@@ -56,7 +53,7 @@ from .training import (
 
 
 def _seed(args, default: int) -> int:
-    if args.seed is None:
+    if getattr(args, "seed", None) is None:
         return default
     if args.seed < 0:
         raise ConfigError("--seed must be >= 0")
@@ -130,29 +127,38 @@ def _finish_training(cfg: RunConfig, out_path, config_blob: dict, state, trace,
     return 0
 
 
-def _warm_start_encoder(cfg: RunConfig, command: str, with_mlm_head: bool) -> EncoderState:
-    """model.encoder's state, loaded from the pretraining checkpoint at paths.checkpoint_in.
+def _load_checkpoint_in(cfg: RunConfig, command: str):
+    """The weights at paths.checkpoint_in as model.encoder, plus model.decoder for generate.
 
-    The checkpoint's encoder config must equal model.encoder in every field
-    but mixing, which owns no parameters: a different kind is swapped in and
-    reported. The masked-prediction head is kept or dropped.
+    Each saved config must equal its model.* section in every field but the
+    encoder's mixing, which owns no parameters: a different kind is swapped in
+    and reported. resume keeps the masked-prediction head; finetune drops it.
     """
     path = _require_input(cfg, "checkpoint_in", command)
     ckpt = load_checkpoint(path)
-    if "encoder" in ckpt.config:
+    if command == "generate":
+        if "encoder" not in ckpt.config:
+            raise CheckpointError(f"{path} is not a sequence-to-sequence checkpoint")
+        headers, models = ckpt.config, {"encoder": cfg.encoder, "decoder": cfg.decoder}
+    elif "encoder" in ckpt.config:
         raise CheckpointError(f"{path} is a sequence-to-sequence checkpoint, "
                               "not an encoder pretraining checkpoint")
-    saved = build_config(EncoderConfig, ckpt.config, f"{path} encoder")
-    differing = [field.name for field in dataclasses.fields(saved)
-                 if field.name != "mixing"
-                 and getattr(saved, field.name) != getattr(cfg.encoder, field.name)]
-    if differing:
-        raise ConfigError(
-            f"{path} encoder config differs from model.encoder in: {', '.join(differing)}")
-    if saved.mixing != cfg.encoder.mixing:
-        print(f"mixing swapped {saved.mixing.value} -> {cfg.encoder.mixing.value}")
+    else:
+        headers, models = {"encoder": ckpt.config}, {"encoder": cfg.encoder}
+    saved = {key: build_config(type(model), headers.get(key), f"{path} {key}")
+             for key, model in models.items()}
+    for key, model in models.items():
+        differing = [field.name for field in dataclasses.fields(model) if field.name != "mixing"
+                     and getattr(saved[key], field.name) != getattr(model, field.name)]
+        if differing:
+            raise ConfigError(f"{path} {key} config differs from model.{key} in: "
+                              f"{', '.join(differing)}")
+    if saved["encoder"].mixing != cfg.encoder.mixing:
+        print(f"mixing swapped {saved['encoder'].mixing.value} -> {cfg.encoder.mixing.value}")
+    if "decoder" in models:
+        return seq2seq_state_from_arrays(cfg.encoder, cfg.decoder, ckpt.arrays)
     return state_from_arrays(cfg.encoder, {name: arr for name, arr in ckpt.arrays.items()
-                                           if with_mlm_head or not name.startswith("mlm.")})
+                                           if command == "resume" or not name.startswith("mlm.")})
 
 
 def cmd_train_mlm(args) -> int:
@@ -175,7 +181,7 @@ def cmd_train_mlm(args) -> int:
     if cfg.encoder.vocab_size > ByteTokenizer.n_specials:
         _check_ids(corpus, "corpus", dataset, "encoder", cfg.encoder)
     if args.command == "resume":
-        state = _warm_start_encoder(cfg, "resume", with_mlm_head=True)
+        state = _load_checkpoint_in(cfg, "resume")
         print(f"resumed {cfg.path('checkpoint_in')} (optimizer moments reset)")
     else:
         state = init_encoder_state(cfg.encoder, SplitRng(cfg.seed), with_mlm_head=True)
@@ -187,13 +193,15 @@ def cmd_train_mlm(args) -> int:
 def _load_pairs(cfg: RunConfig, key: str) -> list:
     """paths.<key>'s (source, target) pairs, at least one, each checked against the model."""
     path = _require_input(cfg, key, "finetune")
-    pairs = load_pairs_jsonl(path)
-    if not pairs:
-        raise ConfigError(f"{path}: no pairs")
-    for (line_no,), (source, target) in zip(read_jsonl(path, ()), pairs):
+    tokenizer, pairs = ByteTokenizer(), []
+    for line_no, *texts in read_jsonl(path, ("source", "target")):
+        source, target = tokenizer.encode_pair(*texts)
         where = f"{path}:{line_no}"
         _check_ids(where, "source", source, "encoder", cfg.encoder)
         _check_ids(where, "target (eos included)", target, "decoder", cfg.decoder)
+        pairs.append((source, target))
+    if not pairs:
+        raise ConfigError(f"{path}: no pairs")
     return pairs
 
 
@@ -219,7 +227,7 @@ def cmd_finetune(args) -> int:
     out = _out_path(cfg, args, "checkpoint_out")
     state = init_seq2seq_state(cfg.encoder, cfg.decoder, SplitRng(cfg.seed))
     if cfg.path("checkpoint_in") is not None:
-        state.encoder = _warm_start_encoder(cfg, "finetune", with_mlm_head=False)
+        state.encoder = _load_checkpoint_in(cfg, "finetune")
         print(f"initialized encoder from {cfg.path('checkpoint_in')}")
     trace = train_seq2seq(
         state,
@@ -238,18 +246,11 @@ def cmd_finetune(args) -> int:
     return _finish_training(cfg, out, config_blob, state, trace, "fine-tuned")
 
 
-def _load_seq2seq_checkpoint(path):
-    ckpt = load_checkpoint(path)
-    if "encoder" not in ckpt.config or "decoder" not in ckpt.config:
-        raise CheckpointError(f"{path} is not a sequence-to-sequence checkpoint")
-    enc_cfg = build_config(EncoderConfig, ckpt.config["encoder"], f"{path} encoder")
-    dec_cfg = build_config(DecoderConfig, ckpt.config["decoder"], f"{path} decoder")
-    return seq2seq_state_from_arrays(enc_cfg, dec_cfg, ckpt.arrays)
-
-
 def cmd_generate(args) -> int:
     cfg = _require_config(args)
-    ckpt_path = _require_input(cfg, "checkpoint_in", "generate")
+    if cfg.decoder is None:
+        raise ConfigError("generate requires model.decoder in the config")
+    _require_input(cfg, "checkpoint_in", "generate")
     sources_path = _require_input(cfg, "sources", "generate")
     out = _out_path(cfg, args, "output")
     tokenizer = ByteTokenizer()
@@ -258,7 +259,7 @@ def cmd_generate(args) -> int:
     for where, _, ids in sources:
         if not len(ids):
             raise ConfigError(f"{where}: empty source")
-    state = _load_seq2seq_checkpoint(ckpt_path)
+    state = _load_checkpoint_in(cfg, "generate")
     gen = cfg.generation if cfg.generation is not None else GenerationConfig()
     # Decode everything first, so a source that fails leaves no partial output.
     lines = []
@@ -332,6 +333,8 @@ def cmd_bench(args) -> int:
             seq_lens.append(int(part))
         except ValueError:
             raise ConfigError(f"--seq-lens: {part!r} is not an integer") from None
+    if not seq_lens or min(seq_lens) < 1:
+        raise ConfigError(f"--seq-lens: give one or more lengths >= 1, got {args.seq_lens!r}")
     results = bench_mixing_vs_attention(
         seq_lens,
         d_model=args.d_model,
@@ -367,60 +370,53 @@ def cmd_count_params(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "train-mlm": cmd_train_mlm,
-    "resume": cmd_train_mlm,
-    "finetune": cmd_finetune,
-    "generate": cmd_generate,
-    "evaluate": cmd_evaluate,
-    "bench": cmd_bench,
-    "count-params": cmd_count_params,
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="JSON run config")
-    common.add_argument("--seed", type=int, metavar="N", help="override training.seed")
-    common.add_argument("--mixing", choices=[kind.value for kind in MixingKind],
-                        help="override mixing kind")
-    common.add_argument("--out", metavar="PATH", help="override the output path")
-
     parser = argparse.ArgumentParser(
         prog="specmix",
         description="Spectral token-mixing models: train, generate, evaluate, benchmark.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("train-mlm", parents=[common],
-                   help="pretrain an encoder with masked-token prediction")
-    sub.add_parser("resume", parents=[common],
-                   help="continue pretraining from a checkpoint")
-    sub.add_parser("finetune", parents=[common],
-                   help="train the encoder-decoder on source/target pairs")
-    sub.add_parser("generate", parents=[common],
-                   help="beam-search decode a JSONL file of sources")
-    p_eval = sub.add_parser("evaluate", parents=[common], help="score prediction files")
-    p_eval.add_argument("--metric", choices=["rouge", "relative-performance"],
-                        default="rouge")
-    p_eval.add_argument("--input", metavar="PATH",
-                        help="JSONL of {hyp,ref} or CSV of task,candidate,reference")
-    p_bench = sub.add_parser("bench", parents=[common],
-                             help="time token mixing against self-attention")
-    p_bench.add_argument("--seq-lens", default="512,4096", metavar="L1,L2,...",
-                         help="comma-separated sequence lengths")
-    p_bench.add_argument("--d-model", type=int, default=768)
-    p_bench.add_argument("--n-heads", type=int, default=12)
-    p_bench.add_argument("--repeats", type=int, default=5)
-    p_bench.add_argument("--warmup", type=int, default=2)
-    sub.add_parser("count-params", parents=[common],
-                   help="print exact parameter counts and the 4096 vs 8192 delta")
+    p = {}
+    for name, handler, summary in [
+        ("train-mlm", cmd_train_mlm, "pretrain an encoder with masked-token prediction"),
+        ("resume", cmd_train_mlm, "continue pretraining from a checkpoint"),
+        ("finetune", cmd_finetune, "train the encoder-decoder on source/target pairs"),
+        ("generate", cmd_generate, "beam-search decode a JSONL file of sources"),
+        ("evaluate", cmd_evaluate, "score prediction files"),
+        ("bench", cmd_bench, "time token mixing against self-attention"),
+        ("count-params", cmd_count_params,
+         "print exact parameter counts and the 4096 vs 8192 delta"),
+    ]:
+        p[name] = sub.add_parser(name, help=summary)
+        p[name].set_defaults(handler=handler)
+    training = ("train-mlm", "resume", "finetune")
+    for name in (*training, "generate", "count-params"):
+        p[name].add_argument("--config", metavar="PATH", help="JSON run config")
+        p[name].add_argument("--mixing", choices=[kind.value for kind in MixingKind],
+                             help="override model.encoder.mixing")
+    p["evaluate"].add_argument("--metric", choices=["rouge", "relative-performance"],
+                               default="rouge")
+    p["evaluate"].add_argument("--input", metavar="PATH",
+                               help="JSONL of {hyp,ref} or CSV of task,candidate,reference")
+    p["bench"].add_argument("--seq-lens", default="512,4096", metavar="L1,L2,...",
+                            help="comma-separated sequence lengths")
+    p["bench"].add_argument("--d-model", type=int, default=768)
+    p["bench"].add_argument("--n-heads", type=int, default=12)
+    p["bench"].add_argument("--repeats", type=int, default=5)
+    p["bench"].add_argument("--warmup", type=int, default=2)
+    p["bench"].add_argument("--seed", type=int, metavar="N", help="seed of the timed inputs")
+    p["bench"].add_argument("--out", metavar="PATH", help="also write the results as CSV")
+    for name in training:
+        p[name].add_argument("--seed", type=int, metavar="N", help="override training.seed")
+    for name in (*training, "generate"):
+        p[name].add_argument("--out", metavar="PATH", help="override the output path")
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (ConfigError, CheckpointError, ShapeError, TrainingError,
             FloatingPointError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,6 +39,11 @@ class ByteTokenizer:
         data = text.encode("utf-8")
         return np.frombuffer(data, dtype=np.uint8).astype(np.int64) + self.n_specials
 
+    def encode_pair(self, source: str, target: str) -> tuple:
+        """(source ids, target ids): the target gets a terminal eos so trained
+        models learn to stop generating."""
+        return self.encode(source), np.append(self.encode(target), self.eos_id)
+
     def decode_bytes(self, ids) -> bytes:
         ids = np.asarray(ids, dtype=np.int64)
         kept = ids[ids >= self.n_specials] - self.n_specials
@@ -391,10 +396,7 @@ def load_corpus_jsonl(path) -> list:
 
 
 def load_pairs_jsonl(path) -> list:
-    """One {"source","target"} object per line -> (source_ids, target_ids) pairs.
-
-    Targets get a terminal eos so trained models learn to stop generating.
-    """
+    """One {"source","target"} object per line -> ByteTokenizer.encode_pair pairs."""
     tokenizer = ByteTokenizer()
-    return [(tokenizer.encode(source), np.append(tokenizer.encode(target), tokenizer.eos_id))
+    return [tokenizer.encode_pair(source, target)
             for _, source, target in read_jsonl(path, ("source", "target"))]

@@ -1,8 +1,11 @@
 """End-to-end command-line runs against tiny models in a temp directory."""
 
+import builtins
 import csv
 import hashlib
 import json
+import os
+import re
 import sys
 from types import SimpleNamespace
 
@@ -11,9 +14,10 @@ import pytest
 
 from specmix import bench, cli
 from specmix.checkpoint import load_checkpoint, save_checkpoint
-from specmix.cli import _load_seq2seq_checkpoint, main
+from specmix.cli import _load_checkpoint_in, main
+from specmix.config import load_run_config
 from specmix.encoder import EncoderConfig, count_params, state_from_arrays
-from specmix.seq2seq import GenerationConfig, generate
+from specmix.seq2seq import DecoderConfig, GenerationConfig, generate, seq2seq_state_from_arrays
 from specmix.spectral import MixingKind
 from specmix.training import ByteTokenizer
 
@@ -572,7 +576,7 @@ class TestFinetuneAndGenerate:
 
     def test_outputs_match_direct_decoding(self, seq2seq_run):
         """File contents equal in-process generation, and no bigram repeats."""
-        state = _load_seq2seq_checkpoint(seq2seq_run.checkpoint)
+        state = _load_checkpoint_in(load_run_config(seq2seq_run.gen_config), "generate")
         tok = ByteTokenizer()
         with open(seq2seq_run.output, encoding="utf-8") as fh:
             records = [json.loads(line) for line in fh]
@@ -626,8 +630,54 @@ class TestFinetuneAndGenerate:
         assert not (tmp_path / "g.jsonl").exists()
 
 
+    def generate_config(self, seq2seq_run, tmp_path, edit):
+        data = json.loads(seq2seq_run.gen_config.read_text())
+        data["paths"]["output"] = str(tmp_path / "g.jsonl")
+        edit(data["model"])
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps(data))
+        return cfg
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("decoder", "n_heads", 4),
+        ("encoder", "n_layers", 2),
+    ])
+    def test_generate_checks_the_model_against_the_checkpoint(self, section, key, value,
+                                                              seq2seq_run, tmp_path, capsys):
+        cfg = self.generate_config(seq2seq_run, tmp_path,
+                                   lambda model: model[section].update({key: value}))
+        assert main(["generate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {seq2seq_run.checkpoint} {section} config differs from model.{section} "
+            f"in: {key}"]
+        assert not (tmp_path / "g.jsonl").exists()
+
+    def test_generate_requires_decoder_section(self, seq2seq_run, tmp_path, capsys):
+        cfg = self.generate_config(seq2seq_run, tmp_path, lambda model: model.pop("decoder"))
+        assert main(["generate", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: generate requires model.decoder in the config"]
+        assert not (tmp_path / "g.jsonl").exists()
+
+    def test_generate_mixing_swap_decodes_with_the_new_kind(self, seq2seq_run, tmp_path,
+                                                             capsys):
+        out = tmp_path / "g.jsonl"
+        assert main(["generate", "--config", str(seq2seq_run.gen_config),
+                     "--mixing", "fourier-imag", "--out", str(out)]) == 0
+        assert "mixing swapped hartley -> fourier-imag" in capsys.readouterr().out
+        ckpt = load_checkpoint(seq2seq_run.checkpoint)
+        state = seq2seq_state_from_arrays(
+            EncoderConfig(**dict(ckpt.config["encoder"], mixing="fourier-imag")),
+            DecoderConfig(**ckpt.config["decoder"]), ckpt.arrays)
+        tok = ByteTokenizer()
+        records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [r["source"] for r in records] == COPY_SOURCES[:6]
+        for record in records:
+            ids = generate(state, tok.encode(record["source"]), seq2seq_run.generation)
+            assert tok.decode(ids) == record["generated"]
+
     def test_empty_source_is_one_error_line(self, seq2seq_run, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_load_seq2seq_checkpoint", no_model)
+        monkeypatch.setattr(cli, "_load_checkpoint_in", no_model)
         sources = tmp_path / "sources.jsonl"
         write_jsonl(sources, [{"source": "abcd"}, {"source": ""}])
         data = json.loads(seq2seq_run.gen_config.read_text())
@@ -637,6 +687,29 @@ class TestFinetuneAndGenerate:
         assert main(["generate", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {sources}:2: empty source"]
         assert not (tmp_path / "g.jsonl").exists()
+
+
+def test_pairs_file_is_parsed_once(tmp_path, monkeypatch):
+    pairs = tmp_path / "pairs.jsonl"
+    write_jsonl(pairs, [{"source": s, "target": s} for s in COPY_SOURCES[:4]])
+    cfg = tmp_path / "ft.json"
+    cfg.write_text(json.dumps({
+        "model": {"encoder": dict(ENCODER_DICT, n_layers=1),
+                  "decoder": {"n_layers": 1, "d_model": 16, "d_ff": 32, "n_heads": 2,
+                              "vocab_size": 261, "max_positions": 16}},
+        "training": {"steps": 0, "seed": 0},
+        "paths": {"pairs": str(pairs), "checkpoint_out": str(tmp_path / "ft.spmx")},
+    }))
+    opened, real_open = [], builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and os.fspath(file) == str(pairs):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    assert main(["finetune", "--config", str(cfg)]) == 0
+    assert len(opened) == 1
 
 
 class TestFinetuneWarmStart:
@@ -954,6 +1027,53 @@ def test_malformed_jsonl_line_is_one_error_line(command, bad, tmp_path, capsys, 
     assert not out.exists()  # nothing written, not even a partial generate output
 
 
+# command -> the flags it takes and reads
+COMMAND_FLAGS = {
+    "train-mlm": {"--config", "--seed", "--mixing", "--out"},
+    "resume": {"--config", "--seed", "--mixing", "--out"},
+    "finetune": {"--config", "--seed", "--mixing", "--out"},
+    "generate": {"--config", "--mixing", "--out"},
+    "evaluate": {"--metric", "--input"},
+    "bench": {"--seq-lens", "--d-model", "--n-heads", "--repeats", "--warmup", "--seed",
+              "--out"},
+    "count-params": {"--config", "--mixing"},
+}
+RUN_FLAG_VALUES = {"--config": "run.json", "--seed": "3", "--mixing": "hartley",
+                   "--out": "out.txt"}
+DROPPED_FLAGS = [(command, flag) for command, flags in COMMAND_FLAGS.items()
+                 for flag in RUN_FLAG_VALUES if flag not in flags]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_help_lists_exactly_the_flags_a_command_reads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert set(re.findall(r"--[a-z][a-z-]*", usage)) == COMMAND_FLAGS[command]
+
+
+@pytest.mark.parametrize("command, flag", DROPPED_FLAGS)
+def test_flag_a_command_does_not_read_is_a_usage_error(command, flag, tmp_path, capsys,
+                                                        request):
+    """Valid without the flag; with it, argparse stops with exit code 2 and names it."""
+    rouge = tmp_path / "scored.jsonl"
+    write_jsonl(rouge, [{"hyp": "the cat", "ref": "the cat sat"}])
+    valid = {
+        "generate": lambda: ["--config", str(request.getfixturevalue("seq2seq_run").gen_config),
+                             "--out", str(tmp_path / "g.jsonl")],
+        "evaluate": lambda: ["--input", str(rouge)],
+        "bench": lambda: ["--seq-lens", "8", "--d-model", "8", "--n-heads", "2"],
+        "count-params": lambda: [],
+    }[command]()
+    value = RUN_FLAG_VALUES[flag]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *valid, flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "g.jsonl").exists()
+
+
 class TestBenchCommand:
     def test_markdown_and_csv(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
@@ -983,7 +1103,9 @@ class TestBenchCommand:
     @pytest.mark.parametrize("flags, message", [
         (["--seq-lens", "8,abc"], "error: --seq-lens: 'abc' is not an integer"),
         (["--seq-lens", "8", "--seed", "-2"], "error: --seed must be >= 0"),
-    ], ids=["seq-lens", "seed"])
+        (["--seq-lens", ""], "error: --seq-lens: give one or more lengths >= 1, got ''"),
+        (["--seq-lens", "8,0"], "error: --seq-lens: give one or more lengths >= 1, got '8,0'"),
+    ], ids=["seq-lens", "seed", "empty-seq-lens", "zero-seq-lens"])
     def test_bad_flag_is_named_before_any_timing(self, flags, message, monkeypatch, capsys):
         monkeypatch.setattr(cli, "bench_mixing_vs_attention", None)  # timing would fail
         assert main(["bench", *flags]) == 1
