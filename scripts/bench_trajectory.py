@@ -3,6 +3,9 @@
     python3 scripts/bench_trajectory.py                   # measure this checkout
     python3 scripts/bench_trajectory.py --checkout DIR    # measure another checkout
 
+The timing blocks need a checkout whose ``bench._time_workloads`` returns
+each fn's samples and whose ``bench._single_thread`` is a context manager.
+
 Each workload that BENCHMARK.json lists runs once per seed in SEEDS, as
 ``perfbench/run.py --workload W --seed S --trace 0`` from the measured
 checkout's own perfbench, for BENCHMARK.json's ``run_seconds``. Runs are
@@ -27,18 +30,22 @@ widths are BASE_MODEL's) on HYBRID_LENGTHS source and target tokens. Each
 peak pair (the forward pass's and the whole step's) is measured in a fresh
 process that imports the measured checkout's sources.
 
-The ``decoding`` block holds ``generate``'s median wall ms per generated
-token at each beam width in DECODE_BEAMS and target length in
-DECODE_LENGTHS, for a Hartley hybrid model with DECODE_ENCODER's widths and
-DECODE_DECODER's layers on a DECODE_SOURCE-token source. EOS is unreachable
-and no n-gram is banned, so each call decodes the whole target length. Each
-beam and length runs in its own fresh process, as the memory probes do.
+The ``decoding`` block holds ``generate``'s wall ms per generated token at
+each beam width in DECODE_BEAMS and target length in DECODE_LENGTHS, for a
+Hartley hybrid model with DECODE_ENCODER's widths and DECODE_DECODER's
+layers on a DECODE_SOURCE-token source. EOS is unreachable and no n-gram is
+banned, so each call decodes the whole target length.
 
-The ``encoding`` block holds the median wall ms of the tape-free
+The ``encoding`` block holds the wall ms of the tape-free
 ``encoder_forward`` of a 1-layer BASE_MODEL Hartley encoder at each length
 in ENCODE_LENGTHS: the long-document inference path, at a prime next to each
-power of two. Each length runs in its own fresh process, with one untimed
-call before the timed ones.
+power of two.
+
+Each timing block runs in one fresh process, where one model serves all of
+its configurations and ``specmix.bench._time_workloads`` times them
+interleaved under ``bench._single_thread``, as ``specmix bench`` does. Each
+entry holds the samples' median and quartiles; the block records TIMING,
+MIN_SAMPLE_S and the BLAS thread counts read back under the clamp.
 
 Files are numbered in order in this repository's root: the first is
 BENCH_0.json, and each later one names the file before it as its parent.
@@ -72,9 +79,8 @@ DECODE_DECODER = {"n_layers": 4, "n_heads": 4}
 DECODE_SOURCE = 255
 DECODE_BEAMS = (1, 4)
 DECODE_LENGTHS = (64, 512)
-DECODE_REPEATS = 3
 ENCODE_LENGTHS = (509, 512, 4093, 4096)
-ENCODE_REPEATS = 5
+TIMING = {"repeats": 5, "warmup": 2}  # specmix bench's defaults
 
 
 def run_workload(checkout: Path, command: list, workload: str, seed: int,
@@ -88,15 +94,17 @@ def run_workload(checkout: Path, command: list, workload: str, seed: int,
     return {"report": json.loads(report)["report"], "result": json.loads(result)}
 
 
+def quartiles(values) -> dict:
+    """Median, first and third quartiles and interquartile range of values."""
+    q1, q3 = np.percentile(values, [25, 75])
+    return {"median": statistics.median(values), "q1": float(q1), "q3": float(q3),
+            "iqr": float(q3 - q1)}
+
+
 def summarize(runs: list, units: dict) -> dict:
     """Median and interquartile range of each end-to-end metric over the runs."""
-    metrics = {}
-    for name, unit in units.items():
-        values = [run["metrics"][name] for run in runs]
-        q1, q3 = np.percentile(values, [25, 75])
-        metrics[name] = {"unit": unit, "median": statistics.median(values),
-                         "q1": float(q1), "q3": float(q3), "iqr": float(q3 - q1)}
-    return metrics
+    return {name: {"unit": unit, **quartiles([run["metrics"][name] for run in runs])}
+            for name, unit in units.items()}
 
 
 def _step_peaks(loss_on) -> dict:
@@ -187,60 +195,68 @@ def seq2seq_step_peaks(model: dict, decoder: dict, src_len: int, tgt_len: int) -
     return _step_peaks(lambda tape: sm.seq2seq_loss(state, source, target, tape))
 
 
-def decode_ms_per_token(encoder: dict, decoder: dict, src_len: int, beam: int,
-                        tgt_len: int) -> float:
-    """Median wall ms per generated token of DECODE_REPEATS generate calls of a Hartley hybrid model.
+def _time_ms(fns: list, units: list) -> tuple:
+    """Quartiles of each fn's wall ms per call over its unit, timed together; the timer's settings."""
+    from specmix import bench
+
+    with bench._single_thread() as threads:
+        samples = bench._time_workloads(fns, **TIMING)
+    return ([quartiles([t * 1e3 / unit for t in times]) for times, unit in zip(samples, units)],
+            {**TIMING, "min_sample_s": bench.MIN_SAMPLE_S, "blas_threads": threads})
+
+
+def decode_ms_per_token(encoder: dict, decoder: dict, src_len: int, beams: list,
+                        lengths: list) -> dict:
+    """Quartiles of generate's wall ms per token of one Hartley hybrid model at each beam and length.
 
     encoder and decoder are as for seq2seq_step_peaks. EOS lies outside the
-    vocabulary and no n-gram is banned, so every call decodes exactly tgt_len
-    tokens. One untimed short call first sets up the source's transforms.
-    Imports specmix as mlm_step_peaks does.
+    vocabulary and no n-gram is banned, so every call decodes exactly its
+    length. Imports specmix as mlm_step_peaks does.
     """
-    import time
-
     import specmix as sm
 
     enc = sm.EncoderConfig(**encoder, max_positions=src_len, mixing=sm.MixingKind.HARTLEY)
     dec = sm.DecoderConfig(d_model=enc.d_model, d_ff=enc.d_ff, vocab_size=enc.vocab_size,
-                           max_positions=tgt_len + 1, **decoder)
+                           max_positions=max(lengths) + 1, **decoder)
     state = sm.init_seq2seq_state(enc, dec, sm.SplitRng(SEEDS[0]))
     source = sm.SplitRng(SEEDS[0]).split(1).integers(sm.ByteTokenizer.n_specials,
                                                      enc.vocab_size, size=src_len)
-    gen = sm.GenerationConfig(max_input_len=src_len, max_target_len=tgt_len,
-                              no_repeat_ngram=0, beam_size=beam, eos_id=enc.vocab_size)
-    sm.generate(state, source, sm.GenerationConfig(max_target_len=1, beam_size=beam))
-    times = []
-    for _ in range(DECODE_REPEATS):
-        start = time.perf_counter()
-        ids = sm.generate(state, source, gen)
-        assert len(ids) == tgt_len, (len(ids), tgt_len)
-        times.append((time.perf_counter() - start) * 1e3 / tgt_len)
-    return statistics.median(times)
+
+    def decode(beam, n):
+        gen = sm.GenerationConfig(max_input_len=src_len, max_target_len=n,
+                                  no_repeat_ngram=0, beam_size=beam, eos_id=enc.vocab_size)
+
+        def fn():
+            ids = sm.generate(state, source, gen)
+            assert len(ids) == n, (len(ids), n)
+            return ids
+        return fn
+
+    configs = [(beam, n) for beam in beams for n in lengths]
+    ms, provenance = _time_ms([decode(*c) for c in configs], [n for _, n in configs])
+    ms = iter(ms)
+    return {**provenance,
+            "beams": {str(beam): {str(n): next(ms) for n in lengths} for beam in beams}}
 
 
-def encode_ms(model: dict, seq_len: int) -> float:
-    """Median wall ms of ENCODE_REPEATS tape-free encoder_forward calls of a Hartley encoder.
+def encode_ms(model: dict, lengths: list) -> dict:
+    """Quartiles of one Hartley encoder's tape-free forward wall ms on random ids of each length.
 
-    model is as for mlm_step_peaks; the input is seq_len random token ids.
-    One untimed call first sets up the transforms. Imports specmix as
-    mlm_step_peaks does.
+    model is as for mlm_step_peaks. Imports specmix as mlm_step_peaks does.
     """
-    import time
-
     import specmix as sm
 
     cfg = sm.EncoderConfig(**{"vocab_size": sm.ByteTokenizer.vocab_size, **model},
-                           max_positions=seq_len, mixing=sm.MixingKind.HARTLEY)
+                           max_positions=max(lengths), mixing=sm.MixingKind.HARTLEY)
     state = sm.init_encoder_state(cfg, sm.SplitRng(SEEDS[0]), with_mlm_head=False)
-    ids = sm.SplitRng(SEEDS[0]).split(1).integers(sm.ByteTokenizer.n_specials, cfg.vocab_size,
-                                                  size=seq_len)
-    sm.encoder_forward(cfg, state, ids)
-    times = []
-    for _ in range(ENCODE_REPEATS):
-        start = time.perf_counter()
-        sm.encoder_forward(cfg, state, ids)
-        times.append((time.perf_counter() - start) * 1e3)
-    return statistics.median(times)
+
+    def encode(n):
+        ids = sm.SplitRng(SEEDS[0]).split(1).integers(sm.ByteTokenizer.n_specials,
+                                                      cfg.vocab_size, size=n)
+        return lambda: sm.encoder_forward(cfg, state, ids).value
+
+    ms, provenance = _time_ms([encode(n) for n in lengths], [1] * len(lengths))
+    return {**provenance, "lengths": dict(zip(map(str, lengths), ms))}
 
 
 def _probe(checkout: Path, fn: str, *args):
@@ -286,19 +302,16 @@ def decoding(checkout: Path) -> dict:
     """generate's ms per token at each beam in DECODE_BEAMS and length in DECODE_LENGTHS."""
     return {"encoder": {**DECODE_ENCODER, "mixing": "hartley"}, "decoder": DECODE_DECODER,
             "source_length": DECODE_SOURCE, "eos": "unreachable", "no_repeat_ngram": 0,
-            "repeats": DECODE_REPEATS, "unit": "ms/token", "statistic": "median",
-            "beams": {str(beam): {str(n): _probe(checkout, "decode_ms_per_token", DECODE_ENCODER,
-                                                 DECODE_DECODER, DECODE_SOURCE, beam, n)
-                                  for n in DECODE_LENGTHS}
-                      for beam in DECODE_BEAMS}}
+            "unit": "ms/token",
+            **_probe(checkout, "decode_ms_per_token", DECODE_ENCODER, DECODE_DECODER,
+                     DECODE_SOURCE, DECODE_BEAMS, DECODE_LENGTHS)}
 
 
 def encoding(checkout: Path) -> dict:
-    """The tape-free encoder forward's median ms at each length in ENCODE_LENGTHS."""
+    """The tape-free encoder forward's ms at each length in ENCODE_LENGTHS."""
     model = {**BASE_MODEL, "n_layers": 1}
-    return {"model": {**model, "mixing": "hartley"}, "tape": False, "repeats": ENCODE_REPEATS,
-            "unit": "ms", "statistic": "median",
-            "lengths": {str(n): _probe(checkout, "encode_ms", model, n) for n in ENCODE_LENGTHS}}
+    return {"model": {**model, "mixing": "hartley"}, "tape": False, "unit": "ms",
+            **_probe(checkout, "encode_ms", model, ENCODE_LENGTHS)}
 
 
 def next_file() -> tuple:

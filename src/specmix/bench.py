@@ -113,7 +113,7 @@ def unclamped_blas_warning() -> str | None:
 
 
 def _time_workloads(fns, repeats: int, warmup: int) -> list:
-    """Median over `repeats` samples of each fn's seconds per call.
+    """The `repeats` samples of each fn's seconds per call.
 
     Each round calls the fns in turn, skipping those whose sample already
     holds MIN_SAMPLE_S of timed work, until all of them do. Warmup calls are
@@ -138,7 +138,7 @@ def _time_workloads(fns, repeats: int, warmup: int) -> list:
             times.append(e / c)
     if not np.isfinite(checksum):
         raise FloatingPointError(f"benchmark produced a non-finite checksum: {checksum}")
-    return [float(np.median(times)) for times in samples]
+    return samples
 
 
 def bench_mixing_vs_attention(
@@ -179,7 +179,8 @@ def bench_mixing_vs_attention(
                 return proj("o", multi_head_attention(q, k, v, n_heads, None)).value
 
             mixers = [lambda kind=kind: mix2d(x, kind) for kind in MIXING_KINDS]
-            base_median, *medians = _time_workloads([run_attention, *mixers], repeats, warmup)
+            samples = _time_workloads([run_attention, *mixers], repeats, warmup)
+            base_median, *medians = (float(np.median(times)) for times in samples)
             base_ips = 1.0 / base_median
             results.append(BenchResult(ATTENTION, seq_len, d_model, base_ips, 1.0))
             for kind, median in zip(MIXING_KINDS, medians):

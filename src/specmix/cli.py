@@ -99,9 +99,17 @@ def _check_ids(where: str, what: str, ids, key: str, model) -> None:
 
 
 def _out_path(cfg: RunConfig, args, key: str) -> str:
-    out = args.out if args.out is not None else cfg.path(key)
+    """--out, else paths.<key>; its directory, and paths.loss_csv's in training, must exist."""
+    name, out = ("--out", args.out) if args.out is not None else (f"paths.{key}", cfg.path(key))
     if out is None:
         raise ConfigError(f"{args.command} needs --out or paths.{key}")
+    outputs = {name: out}
+    if key == "checkpoint_out":
+        outputs["paths.loss_csv"] = cfg.path("loss_csv")
+    for what, path in outputs.items():
+        directory = os.path.dirname(path or "")
+        if directory and not os.path.isdir(directory):
+            raise ConfigError(f"{what}: no such directory: {directory}")
     return out
 
 
@@ -222,9 +230,9 @@ def cmd_finetune(args) -> int:
     if cfg.patience is not None and cfg.path("val_pairs") is None:
         raise ConfigError("training.patience needs paths.val_pairs: early stopping watches "
                           "their loss")
+    out = _out_path(cfg, args, "checkpoint_out")
     pairs = _load_pairs(cfg, "pairs")
     val_pairs = _load_pairs(cfg, "val_pairs") if cfg.path("val_pairs") is not None else None
-    out = _out_path(cfg, args, "checkpoint_out")
     state = init_seq2seq_state(cfg.encoder, cfg.decoder, SplitRng(cfg.seed))
     if cfg.path("checkpoint_in") is not None:
         state.encoder = _load_checkpoint_in(cfg, "finetune")

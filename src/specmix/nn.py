@@ -43,6 +43,10 @@ from .errors import CheckpointError, ShapeError
 
 IGNORE_LABEL = -1
 INIT_SCALE = 0.02
+# Elements per chunk of a large array updated in place (a parameter's
+# gradient here, its AdamW moments in training): each chunk's temporaries
+# stay 16 MiB whatever the array's size.
+CHUNK_ELEMS = 2**21
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -83,6 +87,25 @@ class Cotangent:
             self.grad = g
         else:
             self.grad += g
+
+
+def _add_matmul(cot: Cotangent, a, b) -> None:
+    """Add a @ b into cot, CHUNK_ELEMS output elements at a time once it holds a buffer.
+
+    Each chunk is a block of a's rows, so no temporary of the whole product
+    is built. A block holds at least two rows, since numpy multiplies a
+    one-row block as a vector, which rounds differently; so wherever b has
+    two or more columns the bits are a @ b's.
+    """
+    if cot.grad is None:
+        cot.add(a @ b)
+        return
+    n, rows = a.shape[0], max(2, CHUNK_ELEMS // b.shape[1])
+    start = 0
+    while start < n:
+        stop = start + rows if n - start > rows + 1 else n
+        cot.grad[start:stop] += a[start:stop] @ b
+        start = stop
 
 
 class Node:
@@ -228,7 +251,7 @@ def linear(x: Node, w: Node, b: Node, tape: Tape | None) -> Node:
     def backward(g):
         lead = xv.reshape(-1, xv.shape[-1])
         gflat = g.reshape(-1, g.shape[-1])
-        w_cot.add(lead.T @ gflat)
+        _add_matmul(w_cot, lead.T, gflat)
         b_cot.add(gflat.sum(axis=0))
         x_cot.add((g @ wv.T).reshape(xv.shape))
     _record(tape, out, backward)
@@ -349,7 +372,7 @@ def tied_logits(x: Node, emb: Node, bias: Node, tape: Tape | None) -> Node:
     x_cot, emb_cot, bias_cot = x.cot, emb.cot, bias.cot
 
     def backward(g):
-        emb_cot.add(g.T @ xv)
+        _add_matmul(emb_cot, g.T, xv)
         bias_cot.add(g.sum(axis=0))
         x_cot.add(g @ ev)
     _record(tape, out, backward)

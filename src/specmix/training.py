@@ -20,6 +20,7 @@ from . import nn
 # module's names finds it here
 from .encoder import encoder_forward, mlm_loss  # noqa: F401
 from .errors import ConfigError, TrainingError, is_int, is_real
+from .nn import CHUNK_ELEMS
 from .rng import SplitRng
 from .seq2seq import BOS_ID, EOS_ID, PAD_ID, seq2seq_loss
 
@@ -112,11 +113,6 @@ def apply_mlm_mask(slice_ids, policy: MaskingPolicy, rng,
     inputs[to_mask] = ByteTokenizer.mask_id
     inputs[to_random] = random_ids[to_random]
     return inputs, labels
-
-
-# Elements per chunk of a parameter that AdamW updates at a time: its
-# temporaries stay 16 MiB each whatever the parameter's size.
-CHUNK_ELEMS = 2**21
 
 
 class AdamW:

@@ -96,9 +96,10 @@ class TestHarness:
             fake_clock[0] += 100.0 if len(calls) <= 2 else step
             return np.zeros(1)
 
-        [median] = _time_workloads([fn], repeats=5, warmup=2)
+        [samples] = _time_workloads([fn], repeats=5, warmup=2)
         assert len(calls) == 2 + 5 * 2
-        assert median == pytest.approx(step, rel=1e-9)
+        assert len(samples) == 5
+        assert np.median(samples) == pytest.approx(step, rel=1e-9)
 
     def test_workloads_are_timed_round_robin(self, fake_clock):
         # each sample needs 2 calls; the calls of the two workloads interleave

@@ -58,7 +58,8 @@ def test_training_memory_measures_each_length_in_a_fresh_process(trajectory, mon
     assert batch["step_peak_mib"] > 0
 
 
-def test_decoding_times_each_beam_and_length_in_a_fresh_process(trajectory, monkeypatch):
+def test_decoding_times_each_beam_and_length_interleaved_in_one_process(trajectory,
+                                                                        monkeypatch):
     monkeypatch.setattr(trajectory, "DECODE_ENCODER",
                         {"n_layers": 1, "d_model": 8, "d_ff": 16, "vocab_size": 40})
     monkeypatch.setattr(trajectory, "DECODE_DECODER", {"n_layers": 1, "n_heads": 2})
@@ -70,17 +71,41 @@ def test_decoding_times_each_beam_and_length_in_a_fresh_process(trajectory, monk
     assert sorted(got["beams"]) == ["1", "4"]
     for beam in got["beams"].values():
         assert sorted(beam) == ["3", "5"]
-        assert all(ms > 0 for ms in beam.values())
+        assert_quartiles(beam.values())
+    assert_timer_provenance(got)
 
 
-def test_encoding_times_each_length_in_a_fresh_process(trajectory, monkeypatch):
+def test_encoding_times_each_length_interleaved_in_one_process(trajectory, monkeypatch):
     monkeypatch.setattr(trajectory, "BASE_MODEL", {"d_model": 8, "d_ff": 16, "vocab_size": 40})
     monkeypatch.setattr(trajectory, "ENCODE_LENGTHS", (7, 8))
     got = trajectory.encoding(trajectory.ROOT)
     assert got["unit"] == "ms" and got["tape"] is False
     assert got["model"]["n_layers"] == 1 and got["model"]["d_model"] == 8
     assert sorted(got["lengths"]) == ["7", "8"]
-    assert all(ms > 0 for ms in got["lengths"].values())
+    assert_quartiles(got["lengths"].values())
+    assert_timer_provenance(got)
+
+
+def assert_quartiles(entries):
+    for entry in entries:
+        assert 0 < entry["q1"] <= entry["median"] <= entry["q3"]
+        assert entry["iqr"] == entry["q3"] - entry["q1"]
+
+
+def assert_timer_provenance(block):
+    """The block was timed at TIMING, specmix bench's defaults, with BLAS clamped to one thread."""
+    assert (block["repeats"], block["warmup"]) == (5, 2)
+    assert block["min_sample_s"] > 0
+    assert block["blas_threads"] and set(block["blas_threads"]) == {1}
+
+
+@pytest.mark.parametrize("block", ["decoding", "encoding"])
+def test_each_timing_block_is_one_probe(block, trajectory, monkeypatch):
+    """A block times all of its configurations in one fresh process."""
+    calls = []
+    monkeypatch.setattr(trajectory, "_probe", lambda checkout, fn, *args: calls.append(fn) or {})
+    getattr(trajectory, block)(trajectory.ROOT)
+    assert len(calls) == 1
 
 
 def test_base_model_has_the_base_config_widths(trajectory):

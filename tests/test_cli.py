@@ -402,6 +402,42 @@ def test_pretraining_rejects_patience(command, workdir, tmp_path, capsys):
     assert not (tmp_path / "out.spmx").exists()
 
 
+def no_input(*args, **kwargs):
+    raise AssertionError("an input was read before the output directories were checked")
+
+
+@pytest.mark.parametrize("command, key", [
+    ("train-mlm", "checkpoint_out"), ("train-mlm", "--out"), ("train-mlm", "loss_csv"),
+    ("resume", "checkpoint_out"), ("resume", "loss_csv"),
+    ("finetune", "checkpoint_out"), ("finetune", "--out"), ("finetune", "loss_csv"),
+    ("generate", "output"), ("generate", "--out"),
+])
+def test_missing_output_directory_is_one_error_line_before_any_input_is_read(
+        command, key, tmp_path, capsys, monkeypatch):
+    for name in ("load_corpus_jsonl", "read_jsonl", "load_checkpoint"):
+        monkeypatch.setattr(cli, name, no_input)
+    data, missing = tmp_path / "data.jsonl", tmp_path / "missing" / "dir"
+    data.write_text("")
+    output = "output" if command == "generate" else "checkpoint_out"
+    inputs = {"train-mlm": "corpus", "resume": "corpus", "finetune": "pairs",
+              "generate": "sources"}[command]
+    paths = {inputs: str(data), "checkpoint_in": str(data), output: str(tmp_path / "out")}
+    argv = [command, "--config", str(tmp_path / "cfg.json")]
+    if key == "--out":
+        argv += ["--out", str(missing / "out")]
+    else:
+        paths[key] = str(missing / "out")
+    decoder = {"n_layers": 1, "d_model": 16, "d_ff": 32, "n_heads": 2, "vocab_size": 261,
+               "max_positions": 16}
+    write_config(tmp_path / "cfg.json", steps=1, seed=0, paths=paths,
+                 decoder=decoder if command in ("finetune", "generate") else None)
+    assert main(argv) == 1
+    name = key if key == "--out" else f"paths.{key}"
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {name}: no such directory: {missing}"]
+    assert not (tmp_path / "out").exists()
+
+
 class TestResume:
     def resume_config(self, workdir, where, steps=10, **extra_paths):
         return write_config(

@@ -408,6 +408,50 @@ class TestTiedLogits:
         check_grad(f, bv, bias.grad, 1e-6)
 
 
+class TestGradientsAccumulateInPlace:
+    """_add_matmul adds a @ b into a gradient buffer in row chunks with a @ b's bits."""
+
+    @pytest.mark.parametrize("rows, d_in, d_out, chunk", [
+        (37, 30, 50, 100),   # 2-row chunks
+        (9, 13, 5, 15),      # 3-row chunks; the last takes the one row left over
+        (20, 11, 2, 4),      # 2-row chunks of a two-column product
+        (64, 129, 96, 960),  # 10-row chunks and a 9-row rest
+        (3, 1, 4, 1),        # one row: one chunk
+        (1024, 768, 3072, nn.CHUNK_ELEMS),  # 682 rows and a rest of 86
+        (154, 3000, 768, nn.CHUNK_ELEMS),   # 2730 rows and a rest of 270
+    ])
+    def test_chunks_match_the_whole_product(self, rows, d_in, d_out, chunk, monkeypatch):
+        monkeypatch.setattr(nn, "CHUNK_ELEMS", chunk)
+        rng = np.random.default_rng(rows)
+        x, g, grad = (rng.normal(size=shape) for shape in ((rows, d_in), (rows, d_out),
+                                                           (d_in, d_out)))
+        cot = nn.Cotangent()
+        cot.grad = grad.copy()
+        nn._add_matmul(cot, x.T, g)
+        grad += x.T @ g
+        assert np.array_equal(cot.grad, grad)
+
+    def test_without_a_buffer_the_product_becomes_it(self):
+        a, b = np.arange(6.0).reshape(2, 3), np.arange(12.0).reshape(3, 4)
+        cot = nn.Cotangent()
+        nn._add_matmul(cot, a, b)
+        assert np.array_equal(cot.grad, a @ b)
+
+    def test_weight_and_embedding_gradients_add_in_chunks_with_the_same_bits(self, monkeypatch):
+        monkeypatch.setattr(nn, "CHUNK_ELEMS", 12)  # 2-row chunks of [6, 11] and [11, 6]
+        rng = np.random.default_rng(4)
+        x, g = rng.normal(size=(7, 6)), rng.normal(size=(7, 11))
+        w, emb = Parameter("w", rng.normal(size=(6, 11))), Parameter("emb", rng.normal(size=(11, 6)))
+        w.grad[...], emb.grad[...] = rng.normal(size=(6, 11)), rng.normal(size=(11, 6))
+        want_w, want_emb = w.grad + x.T @ g, emb.grad + g.T @ x
+        for op in (lambda tape: nn.linear(Node(x), w, Node(np.zeros(11)), tape),
+                   lambda tape: nn.tied_logits(Node(x), emb, Node(np.zeros(11)), tape)):
+            tape = Tape()
+            tape.backward(op(tape), seed=g)
+        assert np.array_equal(w.grad, want_w)
+        assert np.array_equal(emb.grad, want_emb)
+
+
 class TestMaskedCrossEntropy:
     def test_uniform_logits_single_label(self):
         """One labeled position over four equal logits costs ln 4."""
