@@ -58,6 +58,19 @@ def test_training_memory_measures_each_length_in_a_fresh_process(trajectory, mon
     assert batch["step_peak_mib"] > 0
 
 
+def assert_quartiles(entries):
+    for entry in entries:
+        assert 0 < entry["q1"] <= entry["median"] <= entry["q3"]
+        assert entry["iqr"] == entry["q3"] - entry["q1"]
+
+
+def assert_timer_provenance(block):
+    """The block was timed at TIMING, specmix bench's defaults, with BLAS clamped to one thread."""
+    assert (block["repeats"], block["warmup"]) == (5, 2)
+    assert block["min_sample_s"] > 0
+    assert block["blas_threads"] and set(block["blas_threads"]) == {1}
+
+
 def test_decoding_times_each_beam_and_length_interleaved_in_one_process(trajectory,
                                                                         monkeypatch):
     monkeypatch.setattr(trajectory, "DECODE_ENCODER",
@@ -84,19 +97,6 @@ def test_encoding_times_each_length_interleaved_in_one_process(trajectory, monke
     assert sorted(got["lengths"]) == ["7", "8"]
     assert_quartiles(got["lengths"].values())
     assert_timer_provenance(got)
-
-
-def assert_quartiles(entries):
-    for entry in entries:
-        assert 0 < entry["q1"] <= entry["median"] <= entry["q3"]
-        assert entry["iqr"] == entry["q3"] - entry["q1"]
-
-
-def assert_timer_provenance(block):
-    """The block was timed at TIMING, specmix bench's defaults, with BLAS clamped to one thread."""
-    assert (block["repeats"], block["warmup"]) == (5, 2)
-    assert block["min_sample_s"] > 0
-    assert block["blas_threads"] and set(block["blas_threads"]) == {1}
 
 
 @pytest.mark.parametrize("block", ["decoding", "encoding"])
