@@ -2,7 +2,9 @@
 ====================================================
 
 Single-threaded wall-clock comparison of one parameter-free mixing pass
-against one full self-attention sub-layer on identical inputs. Attention is
+against one full self-attention sub-layer on identical inputs. The attention
+baseline is the decoder's own sub-layer, run as non-causal self-attention:
+Q/K/V projections, attention, output projection. Attention is
 quadratic in sequence length, the fast transforms are N log N, so the
 speedup column should grow as the sequence gets longer.
 

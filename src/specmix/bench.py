@@ -2,8 +2,9 @@
 
 Timed workloads per sequence length, on identical seeded inputs:
 
-    attention     full sub-layer forward: Q/K/V projections, scaled dot-product
-                  softmax, output projection
+    attention     the decoder's own attention sub-layer (seq2seq._attention_sublayer),
+                  run forward as non-causal self-attention: Q/K/V projections,
+                  scaled dot-product softmax, output projection
     fourier-real  mix2d with the real-part projection only
     hartley       mix2d with the Hartley projection only
 
@@ -35,8 +36,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .nn import Node, init_params, linear, multi_head_attention
+from .nn import Node, init_params
 from .rng import SplitRng
+from .seq2seq import _attention_shapes, _attention_sublayer, _kv
 from .spectral import MixingKind, mix2d
 
 ATTENTION = "attention"
@@ -161,12 +163,7 @@ def bench_mixing_vs_attention(
         raise ConfigError(f"d_model {d_model} must be a positive multiple of n_heads {n_heads}")
 
     root = SplitRng(seed)
-    shapes = {f"{w}{p}": (d_model, d_model) if w == "w" else (d_model,)
-              for p in "qkvo" for w in "wb"}
-    params = init_params(shapes, root.split(0))
-
-    def proj(p, x):
-        return linear(x, params[f"w{p}"], params[f"b{p}"], None)
+    params = init_params(_attention_shapes(ATTENTION, d_model), root.split(0))
 
     results = []
     with _single_thread():
@@ -175,8 +172,9 @@ def bench_mixing_vs_attention(
             node = Node(x)
 
             def run_attention():
-                q, k, v = (proj(p, node) for p in "qkv")
-                return proj("o", multi_head_attention(q, k, v, n_heads, None)).value
+                return _attention_sublayer(params, ATTENTION, node,
+                                           lambda: _kv(params, ATTENTION, node, None), n_heads,
+                                           False, None).value
 
             mixers = [lambda kind=kind: mix2d(x, kind) for kind in MIXING_KINDS]
             samples = _time_workloads([run_attention, *mixers], repeats, warmup)

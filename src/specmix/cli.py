@@ -65,7 +65,7 @@ def _require_config(args) -> RunConfig:
         raise ConfigError(f"{args.command} requires --config")
     cfg = load_run_config(args.config)
     cfg = dataclasses.replace(cfg, seed=_seed(args, cfg.seed))
-    if args.mixing is not None:
+    if getattr(args, "mixing", None) is not None:
         encoder = dataclasses.replace(cfg.encoder, mixing=args.mixing)
         cfg = dataclasses.replace(cfg, encoder=encoder)
     return cfg
@@ -98,18 +98,21 @@ def _check_ids(where: str, what: str, ids, key: str, model) -> None:
                           f"{top + 1}, got {model.vocab_size}")
 
 
+def _check_out_dir(what: str, path) -> None:
+    """Raise ConfigError naming what unless path, if given, is in an existing directory."""
+    directory = os.path.dirname(path or "")
+    if directory and not os.path.isdir(directory):
+        raise ConfigError(f"{what}: no such directory: {directory}")
+
+
 def _out_path(cfg: RunConfig, args, key: str) -> str:
     """--out, else paths.<key>; its directory, and paths.loss_csv's in training, must exist."""
     name, out = ("--out", args.out) if args.out is not None else (f"paths.{key}", cfg.path(key))
     if out is None:
         raise ConfigError(f"{args.command} needs --out or paths.{key}")
-    outputs = {name: out}
+    _check_out_dir(name, out)
     if key == "checkpoint_out":
-        outputs["paths.loss_csv"] = cfg.path("loss_csv")
-    for what, path in outputs.items():
-        directory = os.path.dirname(path or "")
-        if directory and not os.path.isdir(directory):
-            raise ConfigError(f"{what}: no such directory: {directory}")
+        _check_out_dir("paths.loss_csv", cfg.path("loss_csv"))
     return out
 
 
@@ -343,6 +346,7 @@ def cmd_bench(args) -> int:
             raise ConfigError(f"--seq-lens: {part!r} is not an integer") from None
     if not seq_lens or min(seq_lens) < 1:
         raise ConfigError(f"--seq-lens: give one or more lengths >= 1, got {args.seq_lens!r}")
+    _check_out_dir("--out", args.out)
     results = bench_mixing_vs_attention(
         seq_lens,
         d_model=args.d_model,
@@ -364,10 +368,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_count_params(args) -> int:
-    if args.config is not None:
-        encoder = _require_config(args).encoder
-    else:
-        encoder = base_encoder_config(mixing=args.mixing or MixingKind.FOURIER_REAL)
+    encoder = _require_config(args).encoder if args.config is not None else base_encoder_config()
     print(f"parameters: {count_params(encoder):,}")
     counts = {
         n: count_params(dataclasses.replace(encoder, max_positions=n)) for n in (4096, 8192)
@@ -400,6 +401,7 @@ def _build_parser() -> argparse.ArgumentParser:
     training = ("train-mlm", "resume", "finetune")
     for name in (*training, "generate", "count-params"):
         p[name].add_argument("--config", metavar="PATH", help="JSON run config")
+    for name in (*training, "generate"):
         p[name].add_argument("--mixing", choices=[kind.value for kind in MixingKind],
                              help="override model.encoder.mixing")
     p["evaluate"].add_argument("--metric", choices=["rouge", "relative-performance"],

@@ -91,9 +91,7 @@ def decoder_param_shapes(cfg: DecoderConfig) -> dict:
     }
     for i in range(cfg.n_layers):
         for attn in ("self_attn", "cross_attn"):
-            for w, shape in (("wq", (d, d)), ("bq", (d,)), ("wk", (d, d)), ("bk", (d,)),
-                             ("wv", (d, d)), ("bv", (d,)), ("wo", (d, d)), ("bo", (d,))):
-                shapes[f"decoder.layer{i}.{attn}.{w}"] = shape
+            shapes.update(_attention_shapes(f"decoder.layer{i}.{attn}", d))
         shapes[f"decoder.layer{i}.self_ln.gamma"] = (d,)
         shapes[f"decoder.layer{i}.self_ln.beta"] = (d,)
         shapes.update(_tail_shapes(f"decoder.layer{i}", "cross_ln", d, ff))
@@ -149,14 +147,32 @@ def seq2seq_state_from_arrays(encoder_cfg: EncoderConfig, decoder_cfg: DecoderCo
     return Seq2SeqState(encoder_cfg, encoder, decoder_cfg, decoder)
 
 
-def _proj(decoder: dict, prefix: str, w: str, x: Node, tape: Tape | None) -> Node:
+def _attention_shapes(prefix: str, d: int) -> dict:
+    """Name -> shape of one attention sub-layer's projections, in creation order."""
+    return {f"{prefix}.{w}{p}": (d, d) if w == "w" else (d,) for p in "qkvo" for w in "wb"}
+
+
+def _proj(params: dict, prefix: str, w: str, x: Node, tape: Tape | None) -> Node:
     """Attention projection w ("q", "k", "v" or "o") of sub-layer prefix applied to x."""
-    return nn.linear(x, decoder[f"{prefix}.w{w}"], decoder[f"{prefix}.b{w}"], tape)
+    return nn.linear(x, params[f"{prefix}.w{w}"], params[f"{prefix}.b{w}"], tape)
 
 
-def _kv(decoder: dict, prefix: str, source: Node, tape: Tape | None) -> tuple:
+def _kv(params: dict, prefix: str, source: Node, tape: Tape | None) -> tuple:
     """Keys and values of attention sub-layer prefix over source."""
-    return tuple(_proj(decoder, prefix, w, source, tape) for w in "kv")
+    return tuple(_proj(params, prefix, w, source, tape) for w in "kv")
+
+
+def _attention_sublayer(params: dict, prefix: str, x: Node, kv, n_heads: int, causal: bool,
+                        tape: Tape | None) -> Node:
+    """Attention sub-layer prefix over x: project the queries, attend, project the output.
+
+    kv() returns the keys and values, so the caller decides where they come
+    from; it is called after the queries are projected, since tape order
+    fixes the gradient's rounding. The attention is causal when causal is set.
+    """
+    q = _proj(params, prefix, "q", x, tape)
+    ctx = nn.multi_head_attention(q, *kv(), n_heads, tape, causal)
+    return _proj(params, prefix, "o", ctx, tape)
 
 
 def _decoder_stack(cfg: DecoderConfig, decoder: dict, ids, positions, self_kv, cross_kv,
@@ -167,27 +183,22 @@ def _decoder_stack(cfg: DecoderConfig, decoder: dict, ids, positions, self_kv, c
     attention and feed-forward, each added to its input and normalized, then
     the tied output projection. Cross-attention and feed-forward are the
     encoder block's row-wise tail, with cross-attention as its mixing
-    sub-layer. Each attention sub-layer projects its queries, takes its keys
-    and values from the caller, attends (self-attention causally when causal
-    is set) and projects its output. self_kv(i, x) and cross_kv(i) return
-    layer i's keys and values, so the caller decides where they come from.
+    sub-layer. Both attentions are _attention_sublayer, self-attention causal
+    when causal is set; self_kv(i, x) and cross_kv(i) return layer i's keys
+    and values.
     """
     word = nn.embedding_lookup(ids, decoder["decoder.embeddings.word"], tape)
     pos = nn.embedding_lookup(positions, decoder["decoder.embeddings.position"], tape)
     x = _add_norm(decoder, "decoder.embeddings.ln", word, pos, tape)
 
-    def attend(prefix, x, mask, kv, *kv_args):
-        # queries before keys and values kv(*kv_args): tape order fixes the gradient's rounding
-        q = _proj(decoder, prefix, "q", x, tape)
-        ctx = nn.multi_head_attention(q, *kv(*kv_args), cfg.n_heads, tape, mask)
-        return _proj(decoder, prefix, "o", ctx, tape)
-
     for i in range(cfg.n_layers):
         prefix = f"decoder.layer{i}"
-        u = _add_norm(decoder, f"{prefix}.self_ln", x,
-                      attend(f"{prefix}.self_attn", x, causal, self_kv, i, x), tape)
-        x = _row_sublayers(decoder, prefix, "cross_ln", u,
-                           attend(f"{prefix}.cross_attn", u, False, cross_kv, i), tape)
+        y = _attention_sublayer(decoder, f"{prefix}.self_attn", x, lambda: self_kv(i, x),
+                                cfg.n_heads, causal, tape)
+        u = _add_norm(decoder, f"{prefix}.self_ln", x, y, tape)
+        y = _attention_sublayer(decoder, f"{prefix}.cross_attn", u, lambda: cross_kv(i),
+                                cfg.n_heads, False, tape)
+        x = _row_sublayers(decoder, prefix, "cross_ln", u, y, tape)
 
     return nn.tied_logits(x, decoder["decoder.embeddings.word"], decoder["decoder.output_bias"], tape)
 

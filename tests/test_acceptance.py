@@ -36,6 +36,9 @@ from specmix.rng import SplitRng
 from specmix.seq2seq import (
     DecoderConfig,
     GenerationConfig,
+    _attention_shapes,
+    _attention_sublayer,
+    _kv,
     generate,
     init_seq2seq_state,
     seq2seq_loss,
@@ -185,33 +188,27 @@ def test_criterion_2_gradient_suite(verdict):
         labels = np.array([2, -1, 0, 6, 3])
         n_checked += _check_op_grads(
             lambda t: nn.masked_cross_entropy(logits, labels, t), [logits], 1.0)
-        # attention sub-layer as the decoder runs it: q/k/v linears, the
-        # attention op, the output linear. Causal over one source (self-
-        # attention), then non-causal over a longer second source (cross-
-        # attention). The key bias gradient is identically zero (a constant
-        # shift inside softmax rows), which the zero_floor escape in
-        # check_grad recognizes.
+        # the decoder's attention sub-layer: q/k/v linears, the attention
+        # op, the output linear. Causal over one source (self-attention),
+        # then non-causal over a longer second source (cross-attention).
+        # The key bias gradient is identically zero (a constant shift inside
+        # softmax rows), which the zero_floor escape in check_grad recognizes.
         def half(name, *shape):
             # moderate weight scale keeps the softmax away from saturation,
             # where vanishing gradients would fall below what FD can resolve
             return Parameter(name, rng.normal(size=shape) * 0.5)
 
-        att = {f"{w}{p}": half(f"{w}{p}", *((8, 8) if w == "w" else (8,)))
-               for p in "qkvo" for w in "wb"}
-
-        def sublayer(x, source, causal, t):
-            def proj(p, y):
-                return nn.linear(y, att[f"w{p}"], att[f"b{p}"], t)
-            ctx = nn.multi_head_attention(proj("q", x), proj("k", source), proj("v", source),
-                                          2, t, causal)
-            return proj("o", ctx)
-
+        att = {name: half(name, *shape) for name, shape in _attention_shapes("att", 8).items()}
         x, src = half("x", 4, 8), half("src", 6, 8)
+
+        def attend(source, causal, t):
+            return _attention_sublayer(att, "att", x, lambda: _kv(att, "att", source, t), 2,
+                                       causal, t)
+
         n_checked += _check_op_grads(
-            lambda t: sublayer(x, x, True, t), [x, *att.values()], rng.normal(size=(4, 8)))
+            lambda t: attend(x, True, t), [x, *att.values()], rng.normal(size=(4, 8)))
         n_checked += _check_op_grads(
-            lambda t: sublayer(x, src, False, t), [x, src, *att.values()],
-            rng.normal(size=(4, 8)))
+            lambda t: attend(src, False, t), [x, src, *att.values()], rng.normal(size=(4, 8)))
 
         # all five mixing projections against their closed-form adjoints
         for kind in MixingKind:

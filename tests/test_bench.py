@@ -15,6 +15,15 @@ from specmix.bench import (
     results_markdown,
 )
 from specmix.errors import ConfigError
+from specmix.nn import Node, init_params
+from specmix.rng import SplitRng
+from specmix.seq2seq import (
+    DecoderConfig,
+    _attention_shapes,
+    _attention_sublayer,
+    _kv,
+    decoder_param_shapes,
+)
 
 
 @pytest.fixture
@@ -114,6 +123,31 @@ class TestHarness:
 
         _time_workloads([workload("a"), workload("b")], repeats=5, warmup=2)
         assert order == ["a", "a", "b", "b"] + ["a", "b"] * 2 * 5
+
+    def test_attention_workload_is_the_decoders_self_attention(self, monkeypatch):
+        """Bit for bit a decoder layer's non-causal self-attention, same weights and input."""
+        timed = []
+
+        def capture(fns, repeats, warmup):
+            timed.append(fns[0])
+            return [[1.0] * repeats for _ in fns]
+
+        monkeypatch.setattr(bench, "_time_workloads", capture)
+        seq_len, d, heads, seed = 13, 8, 2, 5
+        bench_mixing_vs_attention([seq_len], d_model=d, n_heads=heads, seed=seed)
+        # the bench's weights and input, drawn from its seed as it draws them
+        root = SplitRng(seed)
+        weights = init_params(_attention_shapes(ATTENTION, d), root.split(0))
+        x = Node(root.split(1).normal(size=(seq_len, d)))
+        cfg = DecoderConfig(n_layers=1, d_model=d, d_ff=16, n_heads=heads, vocab_size=7,
+                            max_positions=8)
+        decoder = init_params(decoder_param_shapes(cfg), SplitRng(seed + 1))
+        prefix = "decoder.layer0.self_attn"
+        for name, p in weights.items():
+            decoder[prefix + name[len(ATTENTION):]].value[...] = p.value
+        expected = _attention_sublayer(decoder, prefix, x, lambda: _kv(decoder, prefix, x, None),
+                                       cfg.n_heads, False, None)
+        assert np.array_equal(timed[0](), expected.value)
 
 
 class TestClamp:

@@ -1072,7 +1072,7 @@ COMMAND_FLAGS = {
     "evaluate": {"--metric", "--input"},
     "bench": {"--seq-lens", "--d-model", "--n-heads", "--repeats", "--warmup", "--seed",
               "--out"},
-    "count-params": {"--config", "--mixing"},
+    "count-params": {"--config"},
 }
 RUN_FLAG_VALUES = {"--config": "run.json", "--seed": "3", "--mixing": "hartley",
                    "--out": "out.txt"}
@@ -1148,6 +1148,17 @@ class TestBenchCommand:
         assert capsys.readouterr().err.splitlines() == [message]
 
     TINY = ["bench", "--seq-lens", "8", "--d-model", "8", "--n-heads", "2"]
+
+    def test_out_in_a_missing_directory_is_named_before_any_timing(self, tmp_path, monkeypatch,
+                                                                   capsys):
+        def timing(*args, **kwargs):
+            raise AssertionError("timed before --out was checked")
+
+        monkeypatch.setattr(cli, "bench_mixing_vs_attention", timing)
+        missing = tmp_path / "missing"
+        assert main([*self.TINY, "--out", str(missing / "x.csv")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: --out: no such directory: {missing}"]
 
     def test_warns_when_blas_is_not_clamped(self, fake_openblas, monkeypatch, capsys):
         fake_openblas(4, stuck=True)  # reads 4 under the clamp

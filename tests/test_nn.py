@@ -13,6 +13,7 @@ from specmix import nn
 from specmix.encoder import mix_tokens
 from specmix.errors import ShapeError
 from specmix.nn import Node, Parameter, Tape
+from specmix.seq2seq import _attention_shapes, _attention_sublayer, _proj
 from specmix.spectral import MixingKind
 
 
@@ -528,18 +529,17 @@ class TestMaskedCrossEntropy:
 
 
 def make_attention_params(rng, d):
-    """The eight projection tensors of one attention sub-layer, by name."""
-    return {f"{w}{p}": Parameter(f"attn.{w}{p}", rng.normal(size=(d, d) if w == "w" else d) * 0.5)
-            for p in "qkvo" for w in "wb"}
+    """The eight projection tensors of attention sub-layer "attn", by name."""
+    return {name: Parameter(name, rng.normal(size=shape) * 0.5)
+            for name, shape in _attention_shapes("attn", d).items()}
 
 
 def attention_sublayer(params, q, k, v, n_heads, tape, causal=False):
-    """The decoder's sub-layer: nn.linear projections around the attention op."""
-    def proj(p, x):
-        return nn.linear(x, params[f"w{p}"], params[f"b{p}"], tape)
-
-    ctx = nn.multi_head_attention(proj("q", q), proj("k", k), proj("v", v), n_heads, tape, causal)
-    return proj("o", ctx)
+    """The decoder's attention sub-layer, with keys projected from k and values from v."""
+    return _attention_sublayer(
+        params, "attn", q, lambda: (_proj(params, "attn", "k", k, tape),
+                                    _proj(params, "attn", "v", v, tape)),
+        n_heads, causal, tape)
 
 
 class TestMultiHeadAttention:
@@ -552,10 +552,10 @@ class TestMultiHeadAttention:
         d = 4
         params = make_attention_params(rng, d)
         for p in "qkvo":
-            params[f"b{p}"].value[...] = 0.0
+            params[f"attn.b{p}"].value[...] = 0.0
         qv, kv, vv = (rng.normal(size=(1, d)) for _ in range(3))
         out = attention_sublayer(params, Node(qv), Node(kv), Node(vv), 1, None)
-        expected = (vv @ params["wv"].value) @ params["wo"].value
+        expected = (vv @ params["attn.wv"].value) @ params["attn.wo"].value
         assert np.allclose(out.value, expected, atol=1e-12)
 
     def test_causal_mask_blocks_future_positions(self):

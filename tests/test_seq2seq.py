@@ -19,8 +19,10 @@ from specmix.seq2seq import (
     EOS_ID,
     DecoderConfig,
     GenerationConfig,
+    _attention_shapes,
     _ban_repeats,
     decoder_forward,
+    decoder_param_shapes,
     generate,
     init_seq2seq_state,
     seq2seq_loss,
@@ -92,6 +94,14 @@ class TestSeq2SeqState:
         assert any(n.startswith("encoder.layer0.ff.w1") for n in names)
         assert any(n.startswith("decoder.layer0.cross_attn.wq") for n in names)
         assert "encoder.mlm.bias" not in names  # no prediction head in seq2seq
+
+    def test_attention_entries_are_attention_shapes_in_order(self):
+        cfg = DecoderConfig(n_layers=2, d_model=4, d_ff=8, n_heads=2, vocab_size=7,
+                            max_positions=8)
+        attention = [(name, shape) for name, shape in decoder_param_shapes(cfg).items()
+                     if "_attn." in name]
+        assert attention == [entry for i in range(2) for kind in ("self_attn", "cross_attn")
+                             for entry in _attention_shapes(f"decoder.layer{i}.{kind}", 4).items()]
 
     def arrays(self):
         return {name: p.value for name, p in make_state(3).named_params()}
