@@ -18,8 +18,7 @@ Run with: python3 demos/benchmark_mixing.py
 
 from specmix import bench_mixing_vs_attention, results_markdown
 
-results = bench_mixing_vs_attention(seq_lens=[128, 512, 1024], d_model=256,
-                                    n_heads=8, repeats=5, warmup=2, seed=0)
+results = bench_mixing_vs_attention(seq_lens=[128, 512, 1024], d_model=256, n_heads=8, seed=0)
 print(results_markdown(results))
 
 print("\nspeedup by sequence length (attention = 1.0):")

@@ -11,7 +11,7 @@ Timed workloads per sequence length, on identical seeded inputs:
 The mixing workloads time just the transform because that is all the mixing
 sub-layer executes; the attention baseline includes its projections because
 attention cannot run without them. Reported numbers are 1 / the median of
-`repeats` samples of seconds per call, after `warmup` discarded calls,
+REPEATS samples of seconds per call, after WARMUP discarded calls,
 single-threaded: each loaded OpenBLAS is held to one thread, then restored;
 `specmix bench` warns if one reads back more or none is found (as with MKL,
 which only the thread variables in the environment hold to one thread). A
@@ -46,6 +46,9 @@ MIXING_KINDS = (MixingKind.FOURIER_REAL, MixingKind.HARTLEY)
 # One call of a fast transform lasts tens of milliseconds, short enough for
 # host speed drift to swamp the few-percent gap between two mixing kinds.
 MIN_SAMPLE_S = 0.2
+# Samples per workload and the untimed calls before them.
+REPEATS = 5
+WARMUP = 2
 
 
 @dataclass(frozen=True)
@@ -147,15 +150,9 @@ def bench_mixing_vs_attention(
     seq_lens,
     d_model: int = 768,
     n_heads: int = 12,
-    repeats: int = 5,
-    warmup: int = 2,
     seed: int = 0,
 ) -> list:
     """Time the three workloads at each length; speedups are vs attention."""
-    if repeats < 5:
-        raise ConfigError(f"repeats must be >= 5, got {repeats}")
-    if warmup < 2:
-        raise ConfigError(f"warmup must be >= 2, got {warmup}")
     seq_lens = [int(n) for n in seq_lens]
     if not seq_lens or min(seq_lens) < 1:
         raise ConfigError("seq_lens must be positive")
@@ -177,7 +174,7 @@ def bench_mixing_vs_attention(
                                            False, None).value
 
             mixers = [lambda kind=kind: mix2d(x, kind) for kind in MIXING_KINDS]
-            samples = _time_workloads([run_attention, *mixers], repeats, warmup)
+            samples = _time_workloads([run_attention, *mixers], REPEATS, WARMUP)
             base_median, *medians = (float(np.median(times)) for times in samples)
             base_ips = 1.0 / base_median
             results.append(BenchResult(ATTENTION, seq_len, d_model, base_ips, 1.0))

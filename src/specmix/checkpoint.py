@@ -14,8 +14,11 @@ Layout, all integers little-endian:
 Entries are written in sorted-name order and JSON is canonicalized, so
 save -> load -> save reproduces the file byte for byte. Saving writes a
 temporary file beside the target and renames it over the target, so a crash
-mid-write leaves the previous checkpoint intact. Optimizer moments are
-deliberately not part of the format; resuming restarts them.
+mid-write leaves the previous checkpoint intact. Each part is written as soon
+as it is built and folded into a running CRC, so no copy of the file is
+staged. Loading checks the CRC before it parses any byte, then parses the
+file's bytes in place; only the returned arrays are copied out. Optimizer
+moments are deliberately not part of the format; resuming restarts them.
 """
 
 from __future__ import annotations
@@ -47,29 +50,28 @@ def _config_bytes(config: dict) -> bytes:
 
 def save_checkpoint(path, config: dict, arrays: dict) -> None:
     """Write config + named float64 arrays; names are sorted for stability."""
-    body = bytearray()
     cfg = _config_bytes(config)
-    body += struct.pack("<I", len(cfg))
-    body += cfg
-    names = sorted(arrays)
-    body += struct.pack("<I", len(names))
-    for name in names:
-        arr = np.ascontiguousarray(arrays[name], dtype="<f8")
-        encoded = name.encode("utf-8")
-        body += struct.pack("<H", len(encoded))
-        body += encoded
-        body += struct.pack("<B", arr.ndim)
-        for dim in arr.shape:
-            body += struct.pack("<I", dim)
-        body += arr.tobytes()
-    crc = zlib.crc32(bytes(body)) & 0xFFFFFFFF
     path = os.fspath(path)
     tmp = f"{path}.{os.urandom(8).hex()}.tmp"
     try:
         with open(tmp, "xb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            fh.write(body)
+            crc = 0
+
+            def write(part) -> None:
+                nonlocal crc
+                fh.write(part)
+                crc = zlib.crc32(part, crc)
+
+            fh.write(MAGIC + struct.pack("<I", VERSION))
+            write(struct.pack("<I", len(cfg)) + cfg)
+            write(struct.pack("<I", len(arrays)))
+            for name in sorted(arrays):
+                arr = np.ascontiguousarray(arrays[name], dtype="<f8")
+                encoded = name.encode("utf-8")
+                write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded,
+                                  arr.ndim, *arr.shape))
+                write(arr)
+                del arr  # a converted copy dies before the next one is made
             fh.write(struct.pack("<I", crc))
             fh.flush()
             os.fsync(fh.fileno())
@@ -78,28 +80,6 @@ def save_checkpoint(path, config: dict, arrays: dict) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointError("checkpoint truncated")
-        out = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -111,37 +91,48 @@ def load_checkpoint(path) -> Checkpoint:
     version = struct.unpack("<I", data[4:8])[0]
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    body, stored = data[8:-4], struct.unpack("<I", data[-4:])[0]
+    body, stored = memoryview(data)[8:-4], struct.unpack("<I", data[-4:])[0]
     actual = zlib.crc32(body) & 0xFFFFFFFF
     if actual != stored:
         raise CheckpointError(
             f"{path}: checksum mismatch (stored {stored:#010x}, computed {actual:#010x})"
         )
 
-    r = _Reader(body)
+    pos = 0
+
+    def take(n: int) -> memoryview:
+        nonlocal pos
+        if pos + n > len(body):
+            raise CheckpointError("checkpoint truncated")
+        pos += n
+        return body[pos - n:pos]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
     try:
-        config = json.loads(r.take(r.u32()).decode("utf-8"))
+        config = json.loads(str(take(*unpack("<I")), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: bad embedded config: {exc}") from exc
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: embedded config must be a JSON object")
     arrays = {}
-    n_entries = r.u32()
+    (n_entries,) = unpack("<I")
     for _ in range(n_entries):
         try:
-            name = r.take(r.u16()).decode("utf-8")
+            name = str(take(*unpack("<H")), "utf-8")
         except UnicodeDecodeError as exc:
             raise CheckpointError(f"{path}: bad parameter name: {exc}") from exc
         if name in arrays:
             raise CheckpointError(f"{path}: duplicate parameter name {name}")
-        ndim = r.u8()
-        shape = tuple(r.u32() for _ in range(ndim))
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
         # Python integers: a numpy product of huge dims wraps, even to 0.
-        payload = r.take(math.prod(shape) * 8)
+        payload = take(math.prod(shape) * 8)
         try:
             arrays[name] = np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
         except ValueError as exc:  # more dimensions than numpy supports
             raise CheckpointError(f"{path}: parameter {name}: {exc}") from exc
-    if r.pos != len(body):
-        raise CheckpointError(f"{path}: {len(body) - r.pos} trailing bytes after entries")
+    if pos != len(body):
+        raise CheckpointError(f"{path}: {len(body) - pos} trailing bytes after entries")
     return Checkpoint(config=config, arrays=arrays)

@@ -99,14 +99,16 @@ def _check_ids(where: str, what: str, ids, key: str, model) -> None:
 
 
 def _check_out_dir(what: str, path) -> None:
-    """Raise ConfigError naming what unless path, if given, is in an existing directory."""
+    """Raise ConfigError naming what unless path, if given, is a file in an existing directory."""
     directory = os.path.dirname(path or "")
     if directory and not os.path.isdir(directory):
         raise ConfigError(f"{what}: no such directory: {directory}")
+    if path and os.path.isdir(path):
+        raise ConfigError(f"{what}: is a directory: {path}")
 
 
 def _out_path(cfg: RunConfig, args, key: str) -> str:
-    """--out, else paths.<key>; its directory, and paths.loss_csv's in training, must exist."""
+    """--out, else paths.<key>; it, and paths.loss_csv in training, pass _check_out_dir."""
     name, out = ("--out", args.out) if args.out is not None else (f"paths.{key}", cfg.path(key))
     if out is None:
         raise ConfigError(f"{args.command} needs --out or paths.{key}")
@@ -351,8 +353,6 @@ def cmd_bench(args) -> int:
         seq_lens,
         d_model=args.d_model,
         n_heads=args.n_heads,
-        repeats=args.repeats,
-        warmup=args.warmup,
         seed=_seed(args, 0),
     )
     # warned once the arguments passed, so a rejected command prints one error line
@@ -412,8 +412,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             help="comma-separated sequence lengths")
     p["bench"].add_argument("--d-model", type=int, default=768)
     p["bench"].add_argument("--n-heads", type=int, default=12)
-    p["bench"].add_argument("--repeats", type=int, default=5)
-    p["bench"].add_argument("--warmup", type=int, default=2)
     p["bench"].add_argument("--seed", type=int, metavar="N", help="seed of the timed inputs")
     p["bench"].add_argument("--out", metavar="PATH", help="also write the results as CSV")
     for name in training:

@@ -223,7 +223,6 @@ class _EpochSampler:
         self.rng = rng
         self.order = np.empty(0, dtype=np.int64)
         self.cursor = 0
-        self.epochs_started = 0
 
     def take(self, count: int):
         out = []
@@ -231,7 +230,6 @@ class _EpochSampler:
             if self.cursor == len(self.order):
                 self.order = self.rng.permutation(self.n)
                 self.cursor = 0
-                self.epochs_started += 1
             out.append(int(self.order[self.cursor]))
             self.cursor += 1
         return out

@@ -338,8 +338,7 @@ def test_criterion_4_parameter_counts(verdict):
 def test_criterion_5_throughput_direction(verdict):
     with verdict(5, "token mixing beats the attention sub-layer at least 4x "
                     "at length 4096, both kinds within 10%, growing with length") as info:
-        results = bench_mixing_vs_attention([512, 4096], d_model=768, n_heads=12,
-                                            repeats=5, warmup=2, seed=0)
+        results = bench_mixing_vs_attention([512, 4096], d_model=768, n_heads=12, seed=0)
         by_key = {(r.seq_len, r.workload): r for r in results}
         mixing = ("fourier-real", "hartley")
         for workload in mixing:

@@ -36,7 +36,7 @@ def fake_clock(monkeypatch):
 
 @pytest.fixture(scope="module")
 def tiny_results():
-    return bench_mixing_vs_attention([8, 16], d_model=8, n_heads=2, repeats=5, warmup=2)
+    return bench_mixing_vs_attention([8, 16], d_model=8, n_heads=2)
 
 
 class TestHarness:
@@ -71,10 +71,6 @@ class TestHarness:
                 )
 
     def test_precondition_validation(self):
-        with pytest.raises(ConfigError, match="repeats"):
-            bench_mixing_vs_attention([8], d_model=8, n_heads=2, repeats=4)
-        with pytest.raises(ConfigError, match="warmup"):
-            bench_mixing_vs_attention([8], d_model=8, n_heads=2, warmup=1)
         with pytest.raises(ConfigError, match="seq_lens"):
             bench_mixing_vs_attention([], d_model=8, n_heads=2)
         with pytest.raises(ConfigError, match="seq_lens"):

@@ -65,7 +65,7 @@ def assert_quartiles(entries):
 
 
 def assert_timer_provenance(block):
-    """The block was timed at TIMING, specmix bench's defaults, with BLAS clamped to one thread."""
+    """The block was timed at TIMING, specmix bench's settings, with BLAS clamped to one thread."""
     assert (block["repeats"], block["warmup"]) == (5, 2)
     assert block["min_sample_s"] > 0
     assert block["blas_threads"] and set(block["blas_threads"]) == {1}
@@ -113,6 +113,12 @@ def test_base_model_has_the_base_config_widths(trajectory):
 
     base = base_encoder_config()
     assert trajectory.BASE_MODEL == {name: getattr(base, name) for name in trajectory.BASE_MODEL}
+
+
+def test_timing_is_the_bench_timers_settings(trajectory):
+    from specmix import bench
+
+    assert trajectory.TIMING == {"repeats": bench.REPEATS, "warmup": bench.WARMUP}
 
 
 def test_hybrid_decoder_is_the_default_decoder_config(trajectory):

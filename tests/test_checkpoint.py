@@ -1,6 +1,8 @@
 """Checkpoint serialization: byte-stable round trips and integrity checks."""
 
+import hashlib
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -72,6 +74,47 @@ class TestRoundTrip:
         path = tmp_path / "m.spmx"
         save_checkpoint(path, {}, {"emb.täble": np.ones((2, 2))})
         assert "emb.täble" in load_checkpoint(path).arrays
+
+    def test_bytes_are_pinned(self, tmp_path):
+        """The format's bytes for fixed inputs: a change here breaks every saved checkpoint."""
+        path = tmp_path / "m.spmx"
+        arrays = {"layer0.w": np.arange(12.0).reshape(3, 4) / 7,
+                  "layer0.b": np.arange(4) * 0.25 - 0.5,
+                  "emb.täble": np.arange(6, dtype=np.float32).reshape(2, 3)}
+        save_checkpoint(path, SAMPLE_CONFIG, arrays)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4ab104beb81f3d1359b65dbdc37927fc10a21f6338a062534a0b3c56f80057ac")
+
+
+MIB = 2**20
+
+
+def traced_peak(fn):
+    """fn's result and the peak traced memory beyond what was traced when it started."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    def test_save_stages_no_copy_and_load_holds_the_file_and_its_arrays(self, tmp_path):
+        path = tmp_path / "m.spmx"
+        arrays = {f"w{i}": np.full((512, 1024), float(i)) for i in range(4)}  # 16 MiB
+        _, save_peak = traced_peak(lambda: save_checkpoint(path, SAMPLE_CONFIG, arrays))
+        assert save_peak < 1 * MIB
+        ckpt, load_peak = traced_peak(lambda: load_checkpoint(path))
+        held = sum(arr.nbytes for arr in ckpt.arrays.values())
+        assert held == 16 * MIB
+        assert load_peak <= path.stat().st_size + held + 1 * MIB
+
+    def test_save_converts_one_array_at_a_time(self, tmp_path):
+        arrays = {f"w{i}": np.full((256, 1024), float(i), dtype=np.float32) for i in range(4)}
+        _, peak = traced_peak(lambda: save_checkpoint(tmp_path / "m.spmx", {}, arrays))
+        assert peak < 2 * MIB + 1 * MIB  # one float64 copy of a 1 MiB float32 array
 
 
 class TestCorruption:

@@ -406,17 +406,11 @@ def no_input(*args, **kwargs):
     raise AssertionError("an input was read before the output directories were checked")
 
 
-@pytest.mark.parametrize("command, key", [
-    ("train-mlm", "checkpoint_out"), ("train-mlm", "--out"), ("train-mlm", "loss_csv"),
-    ("resume", "checkpoint_out"), ("resume", "loss_csv"),
-    ("finetune", "checkpoint_out"), ("finetune", "--out"), ("finetune", "loss_csv"),
-    ("generate", "output"), ("generate", "--out"),
-])
-def test_missing_output_directory_is_one_error_line_before_any_input_is_read(
-        command, key, tmp_path, capsys, monkeypatch):
+def run_with_output_at(command, key, where, tmp_path, monkeypatch) -> int:
+    """main's exit code for command with --out or paths.<key> at where, inputs unreadable."""
     for name in ("load_corpus_jsonl", "read_jsonl", "load_checkpoint"):
         monkeypatch.setattr(cli, name, no_input)
-    data, missing = tmp_path / "data.jsonl", tmp_path / "missing" / "dir"
+    data = tmp_path / "data.jsonl"
     data.write_text("")
     output = "output" if command == "generate" else "checkpoint_out"
     inputs = {"train-mlm": "corpus", "resume": "corpus", "finetune": "pairs",
@@ -424,18 +418,45 @@ def test_missing_output_directory_is_one_error_line_before_any_input_is_read(
     paths = {inputs: str(data), "checkpoint_in": str(data), output: str(tmp_path / "out")}
     argv = [command, "--config", str(tmp_path / "cfg.json")]
     if key == "--out":
-        argv += ["--out", str(missing / "out")]
+        argv += ["--out", str(where)]
     else:
-        paths[key] = str(missing / "out")
+        paths[key] = str(where)
     decoder = {"n_layers": 1, "d_model": 16, "d_ff": 32, "n_heads": 2, "vocab_size": 261,
                "max_positions": 16}
     write_config(tmp_path / "cfg.json", steps=1, seed=0, paths=paths,
                  decoder=decoder if command in ("finetune", "generate") else None)
-    assert main(argv) == 1
+    return main(argv)
+
+
+OUTPUT_KEYS = pytest.mark.parametrize("command, key", [
+    ("train-mlm", "checkpoint_out"), ("train-mlm", "--out"), ("train-mlm", "loss_csv"),
+    ("resume", "checkpoint_out"), ("resume", "loss_csv"),
+    ("finetune", "checkpoint_out"), ("finetune", "--out"), ("finetune", "loss_csv"),
+    ("generate", "output"), ("generate", "--out"),
+])
+
+
+@OUTPUT_KEYS
+def test_missing_output_directory_is_one_error_line_before_any_input_is_read(
+        command, key, tmp_path, capsys, monkeypatch):
+    missing = tmp_path / "missing" / "dir"
+    assert run_with_output_at(command, key, missing / "out", tmp_path, monkeypatch) == 1
     name = key if key == "--out" else f"paths.{key}"
     assert capsys.readouterr().err.splitlines() == [
         f"error: {name}: no such directory: {missing}"]
     assert not (tmp_path / "out").exists()
+
+
+@OUTPUT_KEYS
+def test_output_that_is_a_directory_is_one_error_line_before_any_input_is_read(
+        command, key, tmp_path, capsys, monkeypatch):
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    assert run_with_output_at(command, key, taken, tmp_path, monkeypatch) == 1
+    name = key if key == "--out" else f"paths.{key}"
+    assert capsys.readouterr().err.splitlines() == [f"error: {name}: is a directory: {taken}"]
+    assert not (tmp_path / "out").exists()
+    assert list(taken.iterdir()) == []
 
 
 class TestResume:
@@ -1070,14 +1091,16 @@ COMMAND_FLAGS = {
     "finetune": {"--config", "--seed", "--mixing", "--out"},
     "generate": {"--config", "--mixing", "--out"},
     "evaluate": {"--metric", "--input"},
-    "bench": {"--seq-lens", "--d-model", "--n-heads", "--repeats", "--warmup", "--seed",
-              "--out"},
+    "bench": {"--seq-lens", "--d-model", "--n-heads", "--seed", "--out"},
     "count-params": {"--config"},
 }
 RUN_FLAG_VALUES = {"--config": "run.json", "--seed": "3", "--mixing": "hartley",
                    "--out": "out.txt"}
+# bench's removed timing knobs: it always takes bench.REPEATS samples after bench.WARMUP calls
+REMOVED_BENCH_FLAGS = {"--repeats": "5", "--warmup": "2"}
 DROPPED_FLAGS = [(command, flag) for command, flags in COMMAND_FLAGS.items()
                  for flag in RUN_FLAG_VALUES if flag not in flags]
+DROPPED_FLAGS += [("bench", flag) for flag in REMOVED_BENCH_FLAGS]
 
 
 @pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
@@ -1102,7 +1125,7 @@ def test_flag_a_command_does_not_read_is_a_usage_error(command, flag, tmp_path, 
         "bench": lambda: ["--seq-lens", "8", "--d-model", "8", "--n-heads", "2"],
         "count-params": lambda: [],
     }[command]()
-    value = RUN_FLAG_VALUES[flag]
+    value = {**RUN_FLAG_VALUES, **REMOVED_BENCH_FLAGS}[flag]
     with pytest.raises(SystemExit) as exc:
         main([command, *valid, flag, value])
     assert exc.value.code == 2
@@ -1124,10 +1147,6 @@ class TestBenchCommand:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "workload,seq_len,d_model,iters_per_sec,speedup"
         assert len(lines) == 7
-
-    def test_bad_repeats(self, capsys):
-        assert main(["bench", "--seq-lens", "8", "--repeats", "2"]) == 1
-        assert "repeats" in capsys.readouterr().err
 
     def test_indivisible_heads_is_one_error_line(self, fake_openblas, capsys):
         # with BLAS unclamped, the arguments are still rejected before any warning
@@ -1159,6 +1178,12 @@ class TestBenchCommand:
         assert main([*self.TINY, "--out", str(missing / "x.csv")]) == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: --out: no such directory: {missing}"]
+
+    def test_out_that_is_a_directory_is_named_before_any_timing(self, tmp_path, capsys):
+        assert main([*self.TINY, "--out", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no table: nothing was timed
+        assert captured.err.splitlines() == [f"error: --out: is a directory: {tmp_path}"]
 
     def test_warns_when_blas_is_not_clamped(self, fake_openblas, monkeypatch, capsys):
         fake_openblas(4, stuck=True)  # reads 4 under the clamp

@@ -380,7 +380,6 @@ class TestEpochSampler:
         rng = SplitRng(4).split(0)
         expected = np.concatenate([rng.permutation(n) for _ in range(3)])
         assert stream == expected.tolist()
-        assert sampler.epochs_started == 3
 
 
 class TestEarlyStopper:
