@@ -11,13 +11,7 @@ origin is the place to read for semantics.
 
 from .bench import BenchResult, bench_mixing_vs_attention, results_csv, results_markdown
 from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
-from .config import (
-    RunConfig,
-    load_run_config,
-    parse_run_config,
-    run_config_to_dict,
-    save_run_config,
-)
+from .config import RunConfig, load_run_config, parse_run_config
 from .encoder import (
     EncoderConfig,
     EncoderState,
@@ -34,14 +28,7 @@ from .encoder import (
     swap_mixing,
 )
 from .errors import CheckpointError, ConfigError, ShapeError, TrainingError
-from .metrics import (
-    RougeScore,
-    TaskMetricPair,
-    relative_performance,
-    rouge1_f,
-    rougeL_f,
-    token_accuracy,
-)
+from .metrics import RougeScore, TaskMetricPair, relative_performance, rouge1_f, rougeL_f
 from .nn import Node, Parameter, Tape, multi_head_attention
 from .rng import SplitRng
 from .seq2seq import (
@@ -64,7 +51,6 @@ from .training import (
     TraceRow,
     apply_mlm_mask,
     load_corpus_jsonl,
-    load_pairs_jsonl,
     lr_at,
     pack_corpus,
     train_mlm,
@@ -115,7 +101,6 @@ __all__ = [
     "init_seq2seq_state",
     "load_checkpoint",
     "load_corpus_jsonl",
-    "load_pairs_jsonl",
     "load_run_config",
     "lr_at",
     "mix2d",
@@ -132,14 +117,11 @@ __all__ = [
     "results_markdown",
     "rouge1_f",
     "rougeL_f",
-    "run_config_to_dict",
     "save_checkpoint",
-    "save_run_config",
     "seq2seq_loss",
     "seq2seq_state_from_arrays",
     "state_from_arrays",
     "swap_mixing",
-    "token_accuracy",
     "train_mlm",
     "train_seq2seq",
 ]

@@ -66,7 +66,7 @@ def save_checkpoint(path, config: dict, arrays: dict) -> None:
             write(struct.pack("<I", len(cfg)) + cfg)
             write(struct.pack("<I", len(arrays)))
             for name in sorted(arrays):
-                arr = np.ascontiguousarray(arrays[name], dtype="<f8")
+                arr = np.asarray(arrays[name], dtype="<f8", order="C")
                 encoded = name.encode("utf-8")
                 write(struct.pack(f"<H{len(encoded)}sB{arr.ndim}I", len(encoded), encoded,
                                   arr.ndim, *arr.shape))

@@ -23,12 +23,10 @@ stopping counts epochs at a constant batch, takes exactly one open-ended
 phase [[null, batch]]. "training.masking" is read only by pretraining and
 "training.patience" (with "paths.val_pairs") only by fine-tuning; the CLI
 rejects a config that gives a command a training key it would ignore.
-Parsing and serialization are inverses, so a config round-trips losslessly.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 
@@ -139,24 +137,6 @@ def parse_run_config(data: dict) -> RunConfig:
     )
 
 
-def run_config_to_dict(cfg: RunConfig) -> dict:
-    model = {"encoder": dataclasses.asdict(cfg.encoder)}
-    if cfg.decoder is not None:
-        model["decoder"] = dataclasses.asdict(cfg.decoder)
-    if cfg.generation is not None:
-        model["generation"] = dataclasses.asdict(cfg.generation)
-    training = {
-        "optimizer": dict(cfg.optimizer),
-        "schedule": [[until, batch] for until, batch in cfg.schedule],
-        "steps": cfg.steps,
-        "seed": cfg.seed,
-        "patience": cfg.patience,
-    }
-    if cfg.masking is not None:
-        training["masking"] = dataclasses.asdict(cfg.masking)
-    return {"model": model, "training": training, "paths": dict(cfg.paths)}
-
-
 def load_run_config(path) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -166,9 +146,3 @@ def load_run_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
     return parse_run_config(data)
-
-
-def save_run_config(path, cfg: RunConfig) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(run_config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")

@@ -1,5 +1,5 @@
-"""Summarization and classification metrics: ROUGE-1/L, token accuracy, and
-the relative-performance summary statistic.
+"""Summarization metrics: ROUGE-1/L and the relative-performance summary
+statistic.
 
 ROUGE normalization is deliberately minimal and deterministic: lowercase,
 split on whitespace, no stemming. Scores are therefore comparable across runs
@@ -11,9 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ShapeError
-from .nn import IGNORE_LABEL
 
 
 @dataclass(frozen=True)
@@ -92,15 +89,3 @@ def relative_performance(pairs) -> float:
             )
         ratios.append(pair.candidate / pair.reference)
     return float(np.mean(ratios))
-
-
-def token_accuracy(pred, gold) -> float:
-    """Fraction of non-ignored positions where pred == gold; vacuously 1.0."""
-    pred = np.asarray(pred, dtype=np.int64)
-    gold = np.asarray(gold, dtype=np.int64)
-    if pred.shape != gold.shape:
-        raise ShapeError(f"token_accuracy shapes differ: {pred.shape} vs {gold.shape}")
-    active = gold != IGNORE_LABEL
-    if not active.any():
-        return 1.0
-    return float((pred[active] == gold[active]).mean())

@@ -127,24 +127,31 @@ class Node:
 
 
 class Parameter(Node):
-    """Named trainable node; its gradient buffer persists across backwards."""
+    """Named trainable node; its gradient buffer persists across backwards.
+
+    A new Parameter holds no buffer, so weights loaded only for inference
+    carry no gradient; zero_grad allocates a missing one.
+    """
 
     __slots__ = ("name",)
 
     def __init__(self, name: str, value):
         super().__init__(value)
         self.name = name
-        self.grad = np.zeros_like(self.value)
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0.0
+        if self.grad is None:
+            self.grad = np.zeros_like(self.value)
+        else:
+            self.grad[...] = 0.0
 
 
 def init_params(shapes: dict, rng) -> dict:
     """Fresh Parameters for a name -> shape spec, drawn from rng in spec order.
 
     Layer-norm scales (``.gamma``) start at one, every other 1-D tensor at
-    zero, and every matrix at N(0, INIT_SCALE).
+    zero, and every matrix at N(0, INIT_SCALE). Each gets a zero gradient
+    buffer, since a fresh state is made to be trained.
     """
     params = {}
     for name, shape in shapes.items():
@@ -155,14 +162,16 @@ def init_params(shapes: dict, rng) -> dict:
         else:
             value = rng.normal(size=shape) * INIT_SCALE
         params[name] = Parameter(name, value)
+        params[name].zero_grad()
     return params
 
 
 def params_from_arrays(shapes: dict, arrays: dict, what: str) -> dict:
     """Parameters for exactly the names in shapes, copied from arrays as float64.
 
-    A missing name, an extra name or a wrong shape raises CheckpointError;
-    what names the spec in the message.
+    They hold no gradient buffer: the training loop gives them one. A missing
+    name, an extra name or a wrong shape raises CheckpointError; what names
+    the spec in the message.
     """
     missing = sorted(set(shapes) - set(arrays))
     extra = sorted(set(arrays) - set(shapes))

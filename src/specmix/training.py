@@ -24,6 +24,9 @@ from .nn import CHUNK_ELEMS
 from .rng import SplitRng
 from .seq2seq import BOS_ID, EOS_ID, PAD_ID, seq2seq_loss
 
+# AdamW's fixed moment decays, denominator floor and decoupled weight decay
+BETA1, BETA2, EPS, WEIGHT_DECAY = 0.9, 0.999, 1e-8, 0.01
+
 
 class ByteTokenizer:
     """Reversible byte-level ids: five specials, then byte b at id b + 5."""
@@ -118,32 +121,22 @@ def apply_mlm_mask(slice_ids, policy: MaskingPolicy, rng,
 class AdamW:
     """Decoupled-weight-decay Adam with linear warmup to a constant rate.
 
-    Moments live per parameter name; they are not persisted in checkpoints,
-    so a resumed run restarts them from zero. The update is elementwise, so
-    it runs over CHUNK_ELEMS-element flat chunks of each parameter with the
-    same bits as over the whole. The constructor's arguments are the keys of
-    a run config's training.optimizer section, checked here.
+    BETA1, BETA2, EPS and WEIGHT_DECAY are fixed; the rate and its warmup are
+    the constructor's arguments, which are the keys of a run config's
+    training.optimizer section, checked here. Moments live per parameter
+    name; they are not persisted in checkpoints, so a resumed run restarts
+    them from zero. The update is elementwise, so it runs over
+    CHUNK_ELEMS-element flat chunks of each parameter with the same bits as
+    over the whole.
     """
 
-    def __init__(self, base_lr=5e-5, weight_decay=0.01, warmup_steps=500,
-                 beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, base_lr=5e-5, warmup_steps=500):
         if not is_int(warmup_steps) or warmup_steps < 0:
             raise ConfigError("AdamW.warmup_steps must be an integer >= 0")
-        for name, value, ok, rule in (
-            ("base_lr", base_lr, lambda v: v >= 0, ">= 0"),
-            ("weight_decay", weight_decay, lambda v: v >= 0, ">= 0"),
-            ("beta1", beta1, lambda v: 0 <= v < 1, "in [0, 1)"),
-            ("beta2", beta2, lambda v: 0 <= v < 1, "in [0, 1)"),
-            ("eps", eps, lambda v: v > 0, "> 0"),
-        ):
-            if not (is_real(value) and ok(value)):
-                raise ConfigError(f"AdamW.{name} must be a finite number {rule}")
+        if not (is_real(base_lr) and base_lr >= 0):
+            raise ConfigError("AdamW.base_lr must be a finite number >= 0")
         self.base_lr = base_lr
-        self.weight_decay = weight_decay
         self.warmup_steps = warmup_steps
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.moments = {}
 
@@ -151,8 +144,8 @@ class AdamW:
         """One update over (name, Parameter) pairs; returns the rate used."""
         lr = lr_at(self.step_count, self)
         t = self.step_count + 1
-        bias1 = 1.0 - self.beta1 ** t
-        bias2 = 1.0 - self.beta2 ** t
+        bias1 = 1.0 - BETA1 ** t
+        bias2 = 1.0 - BETA2 ** t
         for name, p in named_params:
             if name not in self.moments:
                 self.moments[name] = (np.zeros_like(p.value), np.zeros_like(p.value))
@@ -162,13 +155,13 @@ class AdamW:
                 g, m, v, value = (a[start:start + CHUNK_ELEMS] for a in flat)
                 if not np.all(np.isfinite(g)):
                     raise TrainingError(f"non-finite gradient in parameter {name}")
-                m *= self.beta1
-                m += (1.0 - self.beta1) * g
-                v *= self.beta2
-                v += (1.0 - self.beta2) * np.square(g)
+                m *= BETA1
+                m += (1.0 - BETA1) * g
+                v *= BETA2
+                v += (1.0 - BETA2) * np.square(g)
                 if lr != 0.0:
-                    update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-                    value -= lr * (update + self.weight_decay * value)
+                    update = (m / bias1) / (np.sqrt(v / bias2) + EPS)
+                    value -= lr * (update + WEIGHT_DECAY * value)
             p.zero_grad()
         self.step_count += 1
         return lr
@@ -251,8 +244,12 @@ def _train(named_params, n_examples: int, group_loss, group_size: int, batch_at,
     a fresh tape per group, which is back-propagated scaled by 1/batch. Then
     one optimizer step runs over named_params(), and the trace records the
     mean example loss. stop_after(step), when given, is asked after each step
-    whether to end the run.
+    whether to end the run. A parameter without a gradient buffer (a loaded
+    one) gets a zero one before the first step, so no step allocates one.
     """
+    for _, p in named_params():
+        if p.grad is None:
+            p.zero_grad()
     optimizer = optimizer if optimizer is not None else AdamW()
     sampler = _EpochSampler(n_examples, SplitRng(seed).split(0))
     trace = []
@@ -387,10 +384,3 @@ def load_corpus_jsonl(path) -> list:
     """One {"text": ...} object per line -> list of byte-token id arrays."""
     tokenizer = ByteTokenizer()
     return [tokenizer.encode(text) for _, text in read_jsonl(path, ("text",))]
-
-
-def load_pairs_jsonl(path) -> list:
-    """One {"source","target"} object per line -> ByteTokenizer.encode_pair pairs."""
-    tokenizer = ByteTokenizer()
-    return [tokenizer.encode_pair(source, target)
-            for _, source, target in read_jsonl(path, ("source", "target"))]

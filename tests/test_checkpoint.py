@@ -70,6 +70,19 @@ class TestRoundTrip:
         assert loaded.dtype == np.float64
         np.testing.assert_array_equal(loaded, np.arange(6.0).reshape(2, 3))
 
+    def test_every_rank_keeps_its_shape(self, tmp_path):
+        """A 0-d array stays 0-d, and a strided or Fortran-order view keeps its values."""
+        grid = np.arange(24.0).reshape(2, 3, 4)
+        arrays = {"scalar": np.float64(2.5), "zero_d": np.array(-1.0), "grid": grid,
+                  "fortran": np.asfortranarray(grid[0]), "strided": grid[:, ::2, 1],
+                  "empty": np.zeros((0, 3))}
+        path = tmp_path / "m.spmx"
+        save_checkpoint(path, {}, arrays)
+        loaded = load_checkpoint(path).arrays
+        for name, arr in arrays.items():
+            assert loaded[name].shape == np.shape(arr), name
+            np.testing.assert_array_equal(loaded[name], arr)
+
     def test_unicode_names_and_empty_config(self, tmp_path):
         path = tmp_path / "m.spmx"
         save_checkpoint(path, {}, {"emb.täble": np.ones((2, 2))})

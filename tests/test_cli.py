@@ -241,8 +241,11 @@ MISTYPED_CONFIG = [
     ("training.patience", 1.5, "training.patience"),
     ("training.optimizer.warmup_steps", "5", "AdamW.warmup_steps"),
     ("training.optimizer.base_lr", "0.001", "AdamW.base_lr"),
-    ("training.optimizer.beta1", True, "AdamW.beta1"),
-    ("training.optimizer.eps", float("inf"), "AdamW.eps"),
+    # AdamW's moment decays, epsilon and weight decay are fixed constants, not config keys
+    ("training.optimizer.beta1", 0.9, "AdamW): unknown key(s): beta1"),
+    ("training.optimizer.beta2", 0.999, "AdamW): unknown key(s): beta2"),
+    ("training.optimizer.eps", 1e-8, "AdamW): unknown key(s): eps"),
+    ("training.optimizer.weight_decay", 0.01, "AdamW): unknown key(s): weight_decay"),
     ("training.seed", -1, "training.seed"),
     ("training.steps", -3, "training.steps"),
     ("training.masking.mask_prob", float("nan"), "MaskingPolicy.mask_prob"),
@@ -894,6 +897,8 @@ class TestFinetunePairChecks:
          "source id 127 needs model.encoder.vocab_size >= 128, got 120"),
         ({"source": "ab", "target": "az"}, {"decoder": 120},
          "target (eos included) id 127 needs model.decoder.vocab_size >= 128, got 120"),
+        ({"source": "ab"}, {}, "missing 'target' field"),
+        ({"source": 5, "target": "ab"}, {}, "field 'source' must be a string"),
     ])
     def test_bad_pair_is_one_error_line(self, key, pair, vocab, message, tmp_path, capsys,
                                         monkeypatch):
@@ -916,6 +921,30 @@ class TestFinetunePairChecks:
         assert main(["finetune", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {bad}:3: {message}"]
         assert not (tmp_path / "ft.spmx").exists()
+
+    def test_pairs_reach_training_encoded_with_a_terminal_eos(self, tmp_path, monkeypatch):
+        trained = []
+
+        def record_pairs(state, pairs, *args, **kwargs):
+            trained.extend(pairs)
+            return []
+
+        monkeypatch.setattr(cli, "train_seq2seq", record_pairs)
+        pairs = tmp_path / "pairs.jsonl"
+        write_jsonl(pairs, [{"source": "ab", "target": "cd"}, {"source": "é", "target": ""}])
+        cfg = tmp_path / "ft.json"
+        cfg.write_text(json.dumps({
+            "model": {"encoder": dict(ENCODER_DICT, n_layers=1),
+                      "decoder": {"n_layers": 1, "d_model": 16, "d_ff": 32, "n_heads": 2,
+                                  "vocab_size": 261, "max_positions": 16}},
+            "training": {"steps": 1, "seed": 0},
+            "paths": {"pairs": str(pairs), "checkpoint_out": str(tmp_path / "ft.spmx")},
+        }))
+        assert main(["finetune", "--config", str(cfg)]) == 0
+        tok = ByteTokenizer()
+        assert [(tok.decode(s), tok.decode(t)) for s, t in trained] == [("ab", "cd"), ("é", "")]
+        assert [t[-1] for _, t in trained] == [tok.eos_id, tok.eos_id]
+        assert [len(t) for _, t in trained] == [3, 1]
 
 
 class TestCheckpointHeaders:

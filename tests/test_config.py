@@ -1,4 +1,4 @@
-"""Run-config parsing: strict schema, defaults, lossless round trips."""
+"""Run-config parsing: strict schema, defaults, loading from a file."""
 
 import json
 import re
@@ -6,13 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from specmix.config import (
-    RunConfig,
-    load_run_config,
-    parse_run_config,
-    run_config_to_dict,
-    save_run_config,
-)
+from specmix.config import RunConfig, load_run_config, parse_run_config
 from specmix.encoder import EncoderConfig
 from specmix.errors import ConfigError
 from specmix.seq2seq import DecoderConfig, GenerationConfig
@@ -152,27 +146,11 @@ def test_readme_run_config_parses():
     assert cfg.decoder is not None and cfg.generation is not None
 
 
-class TestRoundTrip:
-    def test_parse_serialize_parse_identical(self):
-        cfg = parse_run_config(full_dict())
-        again = parse_run_config(run_config_to_dict(cfg))
-        assert again == cfg
-
-    def test_serialized_form_is_stable(self):
-        cfg = parse_run_config(full_dict())
-        once = run_config_to_dict(cfg)
-        twice = run_config_to_dict(parse_run_config(once))
-        assert once == twice
-
-    def test_minimal_round_trip(self):
-        cfg = parse_run_config(MINIMAL)
-        assert parse_run_config(run_config_to_dict(cfg)) == cfg
-
-    def test_file_round_trip(self, tmp_path):
-        cfg = parse_run_config(full_dict())
+class TestLoadRunConfig:
+    def test_file_loads_as_parsed(self, tmp_path):
         path = tmp_path / "run.json"
-        save_run_config(path, cfg)
-        assert load_run_config(path) == cfg
+        path.write_text(json.dumps(full_dict()), encoding="utf-8")
+        assert load_run_config(path) == parse_run_config(full_dict())
 
     def test_invalid_json_file(self, tmp_path):
         path = tmp_path / "run.json"

@@ -7,15 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmix.errors import ShapeError
-from specmix.metrics import (
-    RougeScore,
-    TaskMetricPair,
-    relative_performance,
-    rouge1_f,
-    rougeL_f,
-    token_accuracy,
-)
+from specmix.metrics import RougeScore, TaskMetricPair, relative_performance, rouge1_f, rougeL_f
 
 # micro- and macro-averaged per-task f1 scores for the two models under
 # comparison, one value per task in a fixed task order
@@ -172,20 +164,3 @@ class TestRelativePerformance:
         with pytest.raises(ValueError, match="taskX"):
             relative_performance([TaskMetricPair(1.0, 0.0, task="taskX")])
 
-
-class TestTokenAccuracy:
-    def test_identical(self):
-        assert token_accuracy([1, 2, 3], [1, 2, 3]) == 1.0
-
-    def test_half(self):
-        assert token_accuracy([1, 2, 3, 4], [1, 2, 9, 9]) == 0.5
-
-    def test_ignores_skipped(self):
-        assert token_accuracy([1, 2, 3], [1, -1, 9]) == 0.5
-
-    def test_all_ignored_vacuous(self):
-        assert token_accuracy([1, 2], [-1, -1]) == 1.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(ShapeError):
-            token_accuracy([1, 2], [1, 2, 3])

@@ -86,6 +86,7 @@ class TestTapeAndNodes:
         x = Node(rng.normal(size=(3, 4)))
         w1, b1 = Parameter("w1", rng.normal(size=(4, 2))), Parameter("b1", np.zeros(2))
         w2, b2 = Node(rng.normal(size=(4, 5))), Parameter("b2", np.zeros(5))
+        b2.zero_grad()  # a buffer the skipped backward would add into
         tape = Tape()
         used = nn.linear(x, w1, b1, tape)
         unused = nn.linear(x, w2, b2, tape)
@@ -443,6 +444,8 @@ class TestGradientsAccumulateInPlace:
         rng = np.random.default_rng(4)
         x, g = rng.normal(size=(7, 6)), rng.normal(size=(7, 11))
         w, emb = Parameter("w", rng.normal(size=(6, 11))), Parameter("emb", rng.normal(size=(11, 6)))
+        w.zero_grad()
+        emb.zero_grad()
         w.grad[...], emb.grad[...] = rng.normal(size=(6, 11)), rng.normal(size=(11, 6))
         want_w, want_emb = w.grad + x.T @ g, emb.grad + g.T @ x
         for op in (lambda tape: nn.linear(Node(x), w, Node(np.zeros(11)), tape),

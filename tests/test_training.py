@@ -19,7 +19,7 @@ from specmix.encoder import EncoderConfig, base_encoder_config, init_encoder_sta
 from specmix.errors import ConfigError, TrainingError
 from specmix.nn import Parameter, Tape
 from specmix.rng import SplitRng
-from specmix.seq2seq import DecoderConfig, init_seq2seq_state
+from specmix.seq2seq import DecoderConfig, init_seq2seq_state, seq2seq_state_from_arrays
 from specmix.spectral import MixingKind
 from specmix.training import (
     AdamW,
@@ -29,7 +29,6 @@ from specmix.training import (
     MaskingPolicy,
     apply_mlm_mask,
     load_corpus_jsonl,
-    load_pairs_jsonl,
     lr_at,
     pack_corpus,
     read_jsonl,
@@ -181,30 +180,40 @@ class TestLrSchedule:
 
 
 class TestAdamW:
-    def test_zero_grad_zero_decay_is_identity(self):
+    def test_fixed_settings(self):
+        assert (training.BETA1, training.BETA2, training.EPS, training.WEIGHT_DECAY) == (
+            0.9, 0.999, 1e-8, 0.01)
+
+    def test_zero_grad_applies_exactly_the_decoupled_decay(self):
+        # With no gradient both moments stay zero, so the update is 0 / (0 + eps) = 0
+        # and only the decay term moves the value.
         p = Parameter("w", np.array([1.0, -2.0]))
-        opt = AdamW(base_lr=1e-2, weight_decay=0.0, warmup_steps=0)
+        p.zero_grad()
+        opt = AdamW(base_lr=1e-2, warmup_steps=0)
         opt.step([("w", p)])
-        assert np.array_equal(p.value, [1.0, -2.0])
+        assert np.array_equal(p.value, [1.0 - 1e-2 * (0.01 * 1.0), -2.0 - 1e-2 * (0.01 * -2.0)])
 
     def test_first_step_closed_form(self):
         # Bias correction makes m_hat / sqrt(v_hat) = 1 for the first step, so
-        # the parameter moves by almost exactly -lr.
+        # the parameter moves by almost exactly -lr * (1 + weight_decay * value).
         p = Parameter("w", np.array([0.5]))
+        p.zero_grad()
         p.grad[...] = 1.0
-        opt = AdamW(base_lr=1e-2, weight_decay=0.0, warmup_steps=0)
+        opt = AdamW(base_lr=1e-2, warmup_steps=0)
         opt.step([("w", p)])
-        assert np.isclose(p.value[0], 0.5 - 1e-2, rtol=1e-6)
+        assert np.isclose(p.value[0], 0.5 - 1e-2 * (1 + 0.01 * 0.5), rtol=1e-6)
 
     def test_weight_decay_geometric(self):
         p = Parameter("w", np.array([2.0]))
-        opt = AdamW(base_lr=0.1, weight_decay=0.01, warmup_steps=0)
+        p.zero_grad()
+        opt = AdamW(base_lr=0.1, warmup_steps=0)
         for _ in range(5):
             opt.step([("w", p)])
         assert np.isclose(p.value[0], 2.0 * (1 - 0.1 * 0.01) ** 5, rtol=1e-12)
 
     def test_zero_lr_is_identity(self):
         p = Parameter("w", np.array([1.0]))
+        p.zero_grad()
         p.grad[...] = 3.0
         opt = AdamW(base_lr=0.0, warmup_steps=0)
         opt.step([("w", p)])
@@ -212,6 +221,7 @@ class TestAdamW:
 
     def test_nonfinite_grad_names_parameter(self):
         p = Parameter("layer0.ff.w1", np.ones(3))
+        p.zero_grad()
         p.grad[...] = np.nan
         opt = AdamW(warmup_steps=0)
         with pytest.raises(TrainingError, match="layer0.ff.w1"):
@@ -219,6 +229,7 @@ class TestAdamW:
 
     def test_grads_cleared_after_step(self):
         p = Parameter("w", np.ones(3))
+        p.zero_grad()
         p.grad[...] = 1.0
         opt = AdamW(base_lr=1e-3, warmup_steps=0)
         opt.step([("w", p)])
@@ -230,10 +241,10 @@ class TestAdamW:
         rng = np.random.default_rng(0)
         params = [(f"p{i}", Parameter(f"p{i}", rng.normal(size=shape)))
                   for i, shape in enumerate(shapes)]
-        opt = AdamW(base_lr=1e-2, weight_decay=0.1, warmup_steps=2)
+        opt = AdamW(base_lr=1e-2, warmup_steps=2)
         for _ in range(steps):
             for _, p in params:
-                p.grad[...] = rng.normal(size=p.value.shape)
+                p.grad = rng.normal(size=p.value.shape)
             opt.step(params)
         return [p.value for _, p in params]
 
@@ -248,6 +259,7 @@ class TestAdamW:
     def test_nonfinite_grad_in_a_later_chunk_names_parameter(self, monkeypatch):
         monkeypatch.setattr(training, "CHUNK_ELEMS", 4)
         p = Parameter("mlm.bias", np.ones(10))
+        p.zero_grad()
         p.grad[9] = np.inf
         with pytest.raises(TrainingError, match="mlm.bias"):
             AdamW(warmup_steps=0).step([("mlm.bias", p)])
@@ -261,6 +273,7 @@ class TestAdamW:
         chunk = 2**12
         monkeypatch.setattr(training, "CHUNK_ELEMS", chunk)
         p = Parameter("w", np.random.default_rng(0).normal(size=(16, chunk)))
+        p.zero_grad()
         opt = AdamW(base_lr=1e-3, warmup_steps=0)
         opt.step([("w", p)])  # the moments, outside the trace
         p.grad[...] = 1.0
@@ -542,6 +555,18 @@ class TestTrainSeq2seq:
                               batch_size=2, val_pairs=pairs[:2], patience=2)
         assert len(trace) == 6  # 2 steps per epoch x 3 epochs
 
+    def test_a_loaded_state_trains_like_the_state_it_was_saved_from(self):
+        """The loop gives a loaded state, which holds no gradient, zero buffers before step 0."""
+        fresh = init_seq2seq_state(ENC, DEC, SplitRng(3))
+        loaded = seq2seq_state_from_arrays(ENC, DEC, {name: p.value.copy()
+                                                      for name, p in fresh.named_params()})
+        assert all(p.grad is None for _, p in loaded.named_params())
+        traces = [train_seq2seq(state, copy_pairs(), steps=3, seed=2, batch_size=2,
+                                optimizer=AdamW(base_lr=1e-3, warmup_steps=0))
+                  for state in (fresh, loaded)]
+        assert loop_digest(traces[0], fresh) == loop_digest(traces[1], loaded)
+        assert all(p.grad is not None and not p.grad.any() for _, p in loaded.named_params())
+
 
 def loop_digest(trace, state) -> str:
     h = hashlib.sha256()
@@ -600,17 +625,3 @@ class TestLoaders:
             fh.write('{"hyp": 5, "ref": "b"}\n')
         with pytest.raises(ConfigError, match=re.escape(f"{path}:3: field 'hyp' must be a string")):
             read_jsonl(path, ("hyp", "ref"))
-
-    def test_pairs_append_eos(self, tmp_path):
-        path = tmp_path / "pairs.jsonl"
-        path.write_text('{"source": "ab", "target": "cd"}\n', encoding="utf-8")
-        (src, tgt), = load_pairs_jsonl(path)
-        assert TOK.decode(src) == "ab"
-        assert tgt[-1] == TOK.eos_id
-        assert TOK.decode(tgt) == "cd"
-
-    def test_pairs_missing_field(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"source": "ab"}\n', encoding="utf-8")
-        with pytest.raises(ConfigError, match="target"):
-            load_pairs_jsonl(path)
